@@ -147,6 +147,20 @@ def properties(b: Braiding) -> BraidingProperties:
     )
 
 
+def _with_bullet(circ: CayleyTable, ld, kind: str) -> Braiding:
+    """Braiding with circle operation circ and the bullet of the kind, where
+    ld is the left division of circ: derived x, involutive (x o y) ld x,
+    idempotent (x o y) ld (x o y)."""
+    rows = enumerate(circ.rows)
+    if kind == "derived":
+        bullet = tuple((x,) * len(row) for x, row in rows)
+    elif kind == "involutive":
+        bullet = tuple(tuple(ld[c][x] for c in row) for x, row in rows)
+    else:
+        bullet = tuple(tuple(ld[c][c] for c in row) for _, row in rows)
+    return Braiding(circ=circ, bullet=CayleyTable(bullet))
+
+
 def to_braiding(t: CayleyTable, kind: str) -> Braiding:
     """r(x,y) = (x ldiv y, bullet) with the bullet matching the kind:
     derived x, involutive (x ldiv y)*x, idempotent (x ldiv y)*(x ldiv y).
@@ -157,20 +171,7 @@ def to_braiding(t: CayleyTable, kind: str) -> Braiding:
         raise ValueError(f"unknown braiding kind {kind!r}")
     if not t.is_left_quasigroup:
         raise StructureError("braiding construction requires a left quasigroup")
-    n = t.n
-    ld = t._ldiv_rows
-    circ = CayleyTable.from_rows([list(ld[x]) for x in range(n)])
-    bullet = [[0] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            w = ld[x][y]
-            if kind == "derived":
-                bullet[x][y] = x
-            elif kind == "involutive":
-                bullet[x][y] = t.rows[w][x]
-            else:
-                bullet[x][y] = t.rows[w][w]
-    return Braiding(circ=circ, bullet=CayleyTable.from_rows(bullet))
+    return _with_bullet(CayleyTable(t._ldiv_rows), t.rows, kind)
 
 
 def from_braiding(b: Braiding) -> CayleyTable:
@@ -191,19 +192,7 @@ def induced_bullet(t_circ: CayleyTable, kind: str) -> Braiding:
         raise ValueError(f"unknown braiding kind {kind!r}")
     if not t_circ.is_left_quasigroup:
         raise StructureError("induced bullet requires a left quasigroup")
-    n = t_circ.n
-    ld = t_circ._ldiv_rows
-    bullet = [[0] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            xy = t_circ.rows[x][y]
-            if kind == "derived":
-                bullet[x][y] = x
-            elif kind == "involutive":
-                bullet[x][y] = ld[xy][x]
-            else:
-                bullet[x][y] = ld[xy][xy]
-    return Braiding(circ=t_circ, bullet=CayleyTable.from_rows(bullet))
+    return _with_bullet(t_circ, t_circ._ldiv_rows, kind)
 
 
 def matching_identity(kind: str, division_form: bool = False) -> str:

@@ -106,7 +106,13 @@ def _parse_block_family(text: str) -> construct.BlockFamily:
     """Family file: first line 'x_size a_size', then x_size permutation lines
     (bijections of the flattened product carrier)."""
     data = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+    if not data:
+        raise ValueError("empty block family file")
     x_size, a_size = (int(v) for v in data[0].split())
+    if x_size < 1 or a_size < 1:
+        raise ValueError(f"block sizes must be at least 1, got {x_size} {a_size}")
+    if len(data) < 1 + x_size:
+        raise ValueError(f"expected {x_size} bijection lines, got {len(data) - 1}")
     maps = tuple(perms.parse_perm(ln) for ln in data[1 : 1 + x_size])
     return construct.BlockFamily(x_size=x_size, a_size=a_size, maps=maps)
 
@@ -298,8 +304,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "budget", "absent") is None:
         args.budget = _default_budget()
-    if hasattr(args, "threads") is False:
-        args.threads = 1
     try:
         return args.func(args)
     except BudgetExceededError as exc:

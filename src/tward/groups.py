@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .errors import StructureError
+from .errors import ConsistencyError, StructureError
 from .perms import (
     Perm,
     automorphism_group,
@@ -219,5 +219,5 @@ def counts_row(n: int, with_ell: bool = True, budget_seconds: float = 600.0) -> 
         if n <= MAX_ENUM_ORDER:
             ell = enumerate_tw_left_quasigroups(n, budget_seconds=budget_seconds).total
     if ell is not None and _is_prime(n) and ell != q + p:
-        raise AssertionError(f"prime-order identity ell = q + p fails at n = {n}")
+        raise ConsistencyError(f"prime-order identity ell = q + p fails at n = {n}")
     return CountsRow(n=n, ell=ell, q=q, p=p)

@@ -7,7 +7,13 @@ from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .errors import ClosureOverflowError, IdentityViolationError, StructureError
-from .tables import CayleyTable, check_identity, find_all_isomorphisms, squaring_map
+from .tables import (
+    CayleyTable,
+    check_identity,
+    cycle_type,
+    find_all_isomorphisms,
+    squaring_map,
+)
 
 Perm = tuple[int, ...]
 
@@ -32,22 +38,6 @@ def inverse(p: Perm) -> Perm:
 
 def is_perm(p: Sequence[int]) -> bool:
     return sorted(p) == list(range(len(p)))
-
-
-def cycle_type(p: Perm) -> tuple[int, ...]:
-    """Cycle lengths in nonincreasing order."""
-    n = len(p)
-    seen = [False] * n
-    lens = []
-    for s in range(n):
-        if not seen[s]:
-            c, j = 0, s
-            while not seen[j]:
-                seen[j] = True
-                j = p[j]
-                c += 1
-            lens.append(c)
-    return tuple(sorted(lens, reverse=True))
 
 
 @lru_cache(maxsize=4)

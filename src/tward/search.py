@@ -10,6 +10,7 @@ lexicographically >= row 0.
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -90,11 +91,10 @@ def _search_root(n: int, root: Perm, deadline: float | None) -> list[tuple[tuple
 
     def rec(rows: list[Perm | None]) -> None:
         nonlocal ticks
+        # polled on the first node, so a root never starts past the deadline
+        if deadline is not None and ticks % 256 == 0 and time.monotonic() >= deadline:
+            raise BudgetExceededError(f"enumeration budget exceeded at order {n}")
         ticks += 1
-        if deadline is not None and ticks % 256 == 0 and time.monotonic() > deadline:
-            raise BudgetExceededError(
-                f"enumeration budget exceeded at order {n}", completed=len(results)
-            )
         rows = list(rows)
         if not propagate(rows):
             return
@@ -115,40 +115,37 @@ def _search_root(n: int, root: Perm, deadline: float | None) -> list[tuple[tuple
     return results
 
 
-def _search_root_worker(args):
-    n, root, time_left = args
-    deadline = None if time_left is None else time.monotonic() + time_left
-    return _search_root(n, root, deadline)
-
-
 def enumerate_tw_left_quasigroups(
     n: int,
     budget_seconds: float | None = DEFAULT_BUDGET,
     threads: int = 1,
 ) -> EnumerationReport:
-    """All twisted Ward left quasigroups of order n up to isomorphism."""
+    """All twisted Ward left quasigroups of order n up to isomorphism.
+
+    Every root shares one absolute deadline, serially and across workers; a
+    BudgetExceededError reports the number of roots finished as completed.
+    """
     if not (1 <= n <= MAX_ENUM_ORDER):
         raise ValueError(f"enumeration supports 1 <= n <= {MAX_ENUM_ORDER}")
+    if budget_seconds is not None and budget_seconds < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget_seconds}")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
     roots = _roots(n)
+    parallel = threads > 1 and len(roots) > 1
     all_rows: list[tuple[tuple[int, ...], ...]] = []
-    if threads <= 1 or len(roots) <= 1:
-        completed = 0
-        for root in roots:
-            try:
-                all_rows.extend(_search_root(n, root, deadline))
-            except BudgetExceededError as exc:
-                raise BudgetExceededError(
-                    f"enumeration budget exceeded at order {n}",
-                    completed=completed,
-                ) from exc
-            completed += 1
-    else:
-        time_left = None if budget_seconds is None else budget_seconds
-        jobs = [(n, root, time_left) for root in roots]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for chunk in pool.map(_search_root_worker, jobs):
-                all_rows.extend(chunk)
+    completed = 0
+    with ProcessPoolExecutor(threads) if parallel else contextlib.nullcontext() as pool:
+        jobs = (itertools.repeat(n), roots, itertools.repeat(deadline))
+        try:
+            for rows in (pool.map if parallel else map)(_search_root, *jobs):
+                all_rows.extend(rows)
+                completed += 1
+        except BudgetExceededError as exc:
+            raise BudgetExceededError(
+                f"enumeration budget exceeded at order {n}", completed=completed
+            ) from exc
     tables = [CayleyTable(rows) for rows in sorted(set(all_rows))]
     perm = quasi = neither = 0
     for t in tables:

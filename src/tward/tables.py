@@ -129,7 +129,9 @@ class CayleyTable:
             n = int(data[0])
         except ValueError:
             raise ValueError(f"expected element count, got {data[0]!r}") from None
-        if len(data) < n + 1:
+        if n < 1:
+            raise ValueError(f"element count must be at least 1, got {n}")
+        if len(data) != n + 1:
             raise ValueError(f"expected {n} rows, got {len(data) - 1}")
         rows = []
         for ln in data[1 : n + 1]:
@@ -328,93 +330,88 @@ def quadrangle_criterion(t: CayleyTable) -> bool:
 
 # ---------------------------------------------------------------------------
 # Canonical forms and isomorphism
+#
+# The canonical form of t is the row-major lexicographically least table
+# among all n! simultaneous relabelings of t.  _least_entries finds it with
+# one filter: it starts from every relabeling and, entry by entry in
+# row-major order, keeps only the relabelings whose entry there is least.
+# Isomorphisms are found by a separate backtracking search over images.
 # ---------------------------------------------------------------------------
 
-_CHUNK = 40320
+
+def cycle_type(p: Sequence[int]) -> tuple[int, ...]:
+    """Cycle lengths of a permutation in nonincreasing order."""
+    n = len(p)
+    seen = [False] * n
+    lens = []
+    for s in range(n):
+        if not seen[s]:
+            c, j = 0, s
+            while not seen[j]:
+                seen[j] = True
+                j = p[j]
+                c += 1
+            lens.append(c)
+    return tuple(sorted(lens, reverse=True))
 
 
 @lru_cache(maxsize=4)
 def _perm_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-    invs = np.argsort(perms, axis=1)
-    return perms, invs
+    """All permutations of degree n, one per row, and their inverses."""
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.uint8)
+    return perms, np.argsort(perms, axis=1).astype(np.uint8)
 
 
-def _relabeled_flat(t: CayleyTable, perms: np.ndarray, invs: np.ndarray) -> np.ndarray:
-    """All simultaneous relabelings of t by the given permutations, flattened
-    row-major, one per output row."""
-    T = np.array(t.rows, dtype=np.int64)
-    vals = T[invs[:, :, None], invs[:, None, :]]
-    out = perms[np.arange(len(perms))[:, None, None], vals]
-    return out.reshape(len(perms), -1)
+def _least_entries(t: CayleyTable):
+    """Yield the entries of canonical_form(t) in row-major order.
+
+    Entry (i, j) of the relabeling by pi is pi(t[pi^-1(i)][pi^-1(j)]).  The
+    relabelings that survive each entry are those whose prefix is least, so
+    the identity survives for as long as t's own prefix is least.
+    """
+    n = t.n
+    perms, invs = _perm_arrays(n)
+    T = np.array(t.rows, dtype=np.uint8)
+    keep = np.arange(len(perms))
+    for i in range(n):
+        for j in range(n):
+            vals = perms[keep, T[invs[keep, i], invs[keep, j]]]
+            least = vals.min()
+            keep = keep[vals == least]
+            yield int(least)
 
 
 def canonical_form(t: CayleyTable) -> CayleyTable:
     """Lexicographically least table among all n! simultaneous relabelings."""
+    entries = list(_least_entries(t))
     n = t.n
-    if n == 1:
-        return t
-    perms, invs = _perm_arrays(n)
-    best: Optional[bytes] = None
-    for lo in range(0, len(perms), _CHUNK):
-        flat = _relabeled_flat(t, perms[lo : lo + _CHUNK], invs[lo : lo + _CHUNK])
-        u8 = flat.astype(np.uint8)
-        buf = u8.tobytes()
-        size = n * n
-        chunk_best = min(buf[i * size : (i + 1) * size] for i in range(len(flat)))
-        if best is None or chunk_best < best:
-            best = chunk_best
-    rows = [tuple(best[i * n : (i + 1) * n]) for i in range(n)]
-    return CayleyTable(tuple(rows))
+    return CayleyTable(tuple(tuple(entries[i : i + n]) for i in range(0, n * n, n)))
 
 
 def is_self_canonical(t: CayleyTable) -> bool:
-    """True iff t equals its own canonical form (vectorized early check)."""
-    n = t.n
-    if n == 1:
-        return True
-    perms, invs = _perm_arrays(n)
-    target = np.array(t.rows, dtype=np.int64).reshape(-1)
-    for lo in range(0, len(perms), _CHUNK):
-        flat = _relabeled_flat(t, perms[lo : lo + _CHUNK], invs[lo : lo + _CHUNK])
-        neq = flat != target[None, :]
-        any_neq = neq.any(axis=1)
-        if not any_neq.any():
-            continue
-        first = neq.argmax(axis=1)
-        vals = flat[np.arange(len(flat)), first]
-        if np.any(any_neq & (vals < target[first])):
-            return False
-    return True
+    """True iff t equals its own canonical form; stops at the first entry
+    where some relabeling is less than t."""
+    own = itertools.chain.from_iterable(t.rows)
+    return all(a == b for a, b in zip(_least_entries(t), own))
 
 
 def _iso_candidates(t1: CayleyTable, t2: CayleyTable) -> list[list[int]]:
-    """Per-element candidate images, filtered by cheap invariants."""
+    """Per-element candidate images, filtered by cheap invariants: the cycle
+    type of a permutation row (else the multiplicity of its first entry) and
+    idempotence."""
     n = t1.n
 
     def profile(t: CayleyTable, x: int):
         row = t.rows[x]
-        if len(set(row)) == n:
-            # cycle type of the left translation is isomorphism-invariant
-            seen = [False] * n
-            lens = []
-            for s in range(n):
-                if not seen[s]:
-                    c, j = 0, s
-                    while not seen[j]:
-                        seen[j] = True
-                        j = row[j]
-                        c += 1
-                    lens.append(c)
-            return (tuple(sorted(lens)), row[x] == x)
-        return (sorted(row).count(row[0]), row[x] == x)
+        shape = cycle_type(row) if t._ldiv_rows[x] is not None else row.count(row[0])
+        return shape, row[x] == x
 
     p1 = [profile(t1, x) for x in range(n)]
     p2 = [profile(t2, x) for x in range(n)]
     return [[y for y in range(n) if p2[y] == p1[x]] for x in range(n)]
 
 
-def _iso_search(t1: CayleyTable, t2: CayleyTable, yield_all: bool):
+def _iso_search(t1: CayleyTable, t2: CayleyTable):
     """Backtracking search for bijections pi with pi(x*y) = pi(x)*'pi(y).
 
     Yields image tuples; assignment of a pair propagates all forced products.
@@ -475,24 +472,17 @@ def _iso_search(t1: CayleyTable, t2: CayleyTable, yield_all: bool):
                 continue
             yield from rec(x + 1)
             _undo(trail)
-            if not yield_all:
-                # caller only wants existence; rec already yielded if found
-                pass
 
     yield from rec(0)
 
 
 def find_isomorphism(t1: CayleyTable, t2: CayleyTable) -> Optional[tuple[int, ...]]:
-    for pi in _iso_search(t1, t2, yield_all=False):
-        return pi
-    return None
+    return next(_iso_search(t1, t2), None)
 
 
 def find_all_isomorphisms(t1: CayleyTable, t2: CayleyTable):
-    yield from _iso_search(t1, t2, yield_all=True)
+    yield from _iso_search(t1, t2)
 
 
 def table_isomorphic(t1: CayleyTable, t2: CayleyTable) -> bool:
-    if t1.n != t2.n:
-        return False
     return find_isomorphism(t1, t2) is not None

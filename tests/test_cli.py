@@ -151,3 +151,31 @@ def test_budget_exit_code(capsys):
     code, out = run(capsys, "enumerate", "7", "--budget", "0.01")
     assert code == 3
     assert out.startswith("RESULT: budget-exceeded")
+
+
+def test_recover_order_zero(capsys, tmp_path):
+    path = tmp_path / "zero.tbl"
+    path.write_text("0\n")
+    code, out = run(capsys, "recover", str(path))
+    assert code == 2 and out.startswith("RESULT: error")
+
+
+def test_construct_block_empty_family(capsys, tmp_path):
+    path = tmp_path / "empty.fam"
+    path.write_text("")
+    code, out = run(capsys, "construct", "block", str(path))
+    assert code == 2 and out.startswith("RESULT: error")
+
+
+def test_check_extra_row(capsys, tmp_path):
+    path = tmp_path / "extra.tbl"
+    path.write_text(TABLE4.to_text() + "0 1 2 3\n")
+    code, out = run(capsys, "check", str(path), "--identity", "tw")
+    assert code == 2 and out.startswith("RESULT: error")
+
+
+def test_enumerate_bad_budget_and_threads(capsys):
+    code, out = run(capsys, "enumerate", "3", "--budget", "-1")
+    assert code == 2 and out.startswith("RESULT: error")
+    code, out = run(capsys, "--threads", "0", "enumerate", "3")
+    assert code == 2 and out.startswith("RESULT: error")

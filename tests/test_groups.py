@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +14,7 @@ from tward import (
     q_count,
     table_isomorphic,
 )
-from tward.errors import StructureError
+from tward.errors import ConsistencyError, StructureError
 from tward.groups import CLASSICAL_GROUP_COUNTS, MAX_GROUP_ORDER, FiniteGroup
 
 Q_EXPECTED = (1, 1, 2, 5, 4, 5, 6, 25, 14, 9, 10)
@@ -102,6 +104,20 @@ def test_counts_row():
     assert (row.n, row.ell, row.q, row.p) == (5, 11, 4, 7)
     row10 = counts_row(10, with_ell=False)
     assert row10.ell is None and row10.q == 9 and row10.p == 42
+
+
+def test_counts_row_prime_identity_failure(monkeypatch):
+    from tward import search
+
+    real = search.enumerate_tw_left_quasigroups
+
+    def off_by_one(n, budget_seconds=None, threads=1):
+        report = real(n, budget_seconds=budget_seconds, threads=threads)
+        return dataclasses.replace(report, total=report.total + 1)
+
+    monkeypatch.setattr(search, "enumerate_tw_left_quasigroups", off_by_one)
+    with pytest.raises(ConsistencyError):
+        counts_row(5)
 
 
 def test_group_table_identity_normalized():

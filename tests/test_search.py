@@ -73,6 +73,20 @@ def test_budget_enforced():
         enumerate_tw_left_quasigroups(7, budget_seconds=0.01)
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_zero_budget_finishes_no_root(threads):
+    with pytest.raises(BudgetExceededError) as info:
+        enumerate_tw_left_quasigroups(3, budget_seconds=0, threads=threads)
+    assert info.value.completed == 0
+
+
+def test_budget_and_threads_validated():
+    with pytest.raises(ValueError):
+        enumerate_tw_left_quasigroups(3, budget_seconds=-1)
+    with pytest.raises(ValueError):
+        enumerate_tw_left_quasigroups(3, threads=0)
+
+
 def test_threaded_run_matches_serial(enum_reports):
     serial = enum_reports(5)
     parallel = enumerate_tw_left_quasigroups(5, threads=2)

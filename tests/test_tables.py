@@ -21,6 +21,8 @@ from tward import (
 from tward.errors import IdentityViolationError, StructureError
 from tward.tables import IDENTITY_KINDS, find_all_isomorphisms, is_self_canonical
 
+from conftest import all_left_quasigroups
+
 
 def random_perm_rows(n):
     perm = st.permutations(range(n)).map(tuple)
@@ -53,6 +55,11 @@ def test_parse_errors():
         CayleyTable.parse("2\n0 1")
     with pytest.raises(ValueError):
         CayleyTable.parse("2\n0 1\n1")
+    with pytest.raises(ValueError):
+        CayleyTable.parse("0\n")
+    with pytest.raises(ValueError):
+        CayleyTable.parse("1\n0\n0")
+    assert CayleyTable.parse("# c\n1\n0\n# trailing comment\n") == CayleyTable(((0,),))
 
 
 def test_divisions(cyclic3):
@@ -206,3 +213,44 @@ def test_exhaustive_iso_agrees_with_canonical_form():
     for t1 in sample[:12]:
         for t2 in sample[:12]:
             assert table_isomorphic(t1, t2) == (canonical_form(t1) == canonical_form(t2))
+
+
+def brute_canonical_form(t):
+    """Plain oracle: the least relabeled table over all n! permutations."""
+    return CayleyTable(min(t.relabel(pi).rows for pi in itertools.permutations(range(t.n))))
+
+
+def assert_canonical_agrees(t):
+    c = brute_canonical_form(t)
+    assert canonical_form(t) == c
+    assert is_self_canonical(t) == (c == t)
+
+
+def test_canonical_form_matches_oracle_on_all_order3_left_quasigroups():
+    tables = list(all_left_quasigroups(3))
+    assert len(tables) == 216
+    for t in tables:
+        assert_canonical_agrees(t)
+
+
+def test_canonical_form_matches_oracle_on_non_left_quasigroups():
+    sample = [
+        CayleyTable(tuple(entries[i : i + 3] for i in (0, 3, 6)))
+        for entries in itertools.islice(itertools.product(range(3), repeat=9), 0, None, 89)
+    ]
+    sample = [t for t in sample if not t.is_left_quasigroup]
+    assert len(sample) > 200
+    for t in sample:
+        assert_canonical_agrees(t)
+
+
+@given(left_quasigroups(max_n=5))
+@settings(max_examples=40, deadline=None)
+def test_canonical_form_matches_oracle_on_drawn_tables(t):
+    assert_canonical_agrees(t)
+
+
+def test_canonical_form_matches_oracle_on_representatives(enum_reports):
+    for n in range(1, 7):
+        for t in enum_reports(n).representatives:
+            assert_canonical_agrees(t)
