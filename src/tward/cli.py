@@ -193,6 +193,8 @@ def cmd_enumerate(args) -> int:
     )
     print(f"RESULT: {report.total}")
     print(f"n total perm quasi neither: {report.summary_line()}")
+    if args.stats:
+        print(f"nodes {report.nodes} leaves {report.leaves} accepted {report.total}")
     if args.out:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -289,6 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("--budget", type=float, default=None)
     p.add_argument("--out", help="directory for canonical table files")
+    p.add_argument("--stats", action="store_true", help="print search node and leaf counts")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("dichotomy", help="prime-order dichotomy report")

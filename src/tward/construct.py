@@ -57,13 +57,17 @@ class TwqSpec:
     @classmethod
     def parse(cls, text: str) -> "TwqSpec":
         lines = text.splitlines()
-        idx_psi = next(i for i, ln in enumerate(lines) if ln.strip() == "# psi")
-        idx_c = next(i for i, ln in enumerate(lines) if ln.strip() == "# c")
+        at: dict[str, int] = {}
+        for marker in ("psi", "c"):
+            idx = next((i for i, ln in enumerate(lines) if ln.strip() == f"# {marker}"), None)
+            if idx is None or idx + 1 == len(lines) or not lines[idx + 1].strip():
+                raise ValueError(f"spec text needs a '# {marker}' line followed by its value")
+            at[marker] = idx
         from .perms import parse_perm
 
-        table = CayleyTable.parse("\n".join(lines[:idx_psi]))
-        psi = parse_perm(lines[idx_psi + 1])
-        c = int(lines[idx_c + 1])
+        table = CayleyTable.parse("\n".join(lines[: at["psi"]]))
+        psi = parse_perm(lines[at["psi"] + 1])
+        c = int(lines[at["c"] + 1])
         return cls(group=as_group(table), psi=psi, c=c)
 
 

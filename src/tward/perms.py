@@ -26,7 +26,7 @@ def identity_perm(n: int) -> Perm:
 
 def compose(f: Perm, g: Perm) -> Perm:
     """f after g: (f o g)(i) = f(g(i))."""
-    return tuple(f[v] for v in g)
+    return tuple(map(f.__getitem__, g))
 
 
 def inverse(p: Perm) -> Perm:

@@ -6,7 +6,22 @@ L_{x*y} = L_{y*y} L_y L_x^{-1}, which forces most rows once a few are chosen.
 Isomorph rejection keeps a completed table only if it equals its own
 canonical form; the search space is cut beforehand by two sound facts about
 canonical tables: row 0 is the least conjugate of any row, and every row is
-lexicographically >= row 0.
+lexicographically >= row 0.  The rows that pass both facts are the candidates
+of a root, and a row is allowed exactly when it is a candidate.
+
+Propagation runs on a worklist of newly set rows.  A node's parent is already
+at a fixpoint, so only the pairs (x, y) that involve a new row k can force
+anything: every x when k is y or y*y, and x = k otherwise.  A forced row must
+be allowed (one set-membership test) and joins the worklist.  The fixpoint is
+unique, so the order of the worklist does not change the leaves.
+
+At a branch point the first unset row j is tried only with the candidates
+that survive the same rule with x = j, applied to all candidates at once in
+numpy: for every y whose L_y and L_{y*y} are set, the forced row
+L_{y*y} L_y q^{-1} must be allowed, must equal the row at q(y) if that row is
+set, and must equal q itself if q(y) = j.  The filter drops only candidates
+that propagation would reject at once, so the leaves and the tables handed
+to the canonical check are the same as without it.
 """
 from __future__ import annotations
 
@@ -15,6 +30,8 @@ import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import BudgetExceededError, ConsistencyError
 from .perms import Perm, compose, cycle_type, inverse, min_conjugates
@@ -32,6 +49,8 @@ class EnumerationReport:
     quasigroup_count: int
     neither_count: int
     representatives: tuple[CayleyTable, ...]
+    nodes: int = 0
+    leaves: int = 0
 
     def summary_line(self) -> str:
         return (
@@ -45,74 +64,105 @@ def _roots(n: int) -> list[Perm]:
     return sorted(min_conjugates(n).values())
 
 
-def _search_root(n: int, root: Perm, deadline: float | None) -> list[tuple[tuple[int, ...], ...]]:
+def _search_root(
+    n: int, root: Perm, deadline: float | None
+) -> tuple[list[tuple[tuple[int, ...], ...]], int, int]:
     """All self-canonical twisted Ward left quasigroup tables with first row
-    equal to ``root``."""
+    equal to ``root``, with the number of nodes and of leaves visited."""
     mc = min_conjugates(n)
     cands = [
         q
         for q in itertools.permutations(range(n))
         if q >= root and mc[cycle_type(q)] >= root
     ]
+    allowed = set(cands)
     inverses = {q: inverse(q) for q in cands}
-    inverses[root] = inverse(root)
+    # vectorized form of the candidates; permutations() yields them in lex
+    # order, so their base-n codes are already sorted
+    C = np.array(cands, dtype=np.intp)
+    CI = np.argsort(C, axis=1)
+    powers = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    codes = C @ powers
+    code_of = dict(zip(cands, codes.tolist()))
     results: list[tuple[tuple[int, ...], ...]] = []
-    ticks = 0
+    nodes = leaves = 0
 
-    def propagate(rows: list[Perm | None]) -> bool:
-        changed = True
-        while changed:
-            changed = False
+    def propagate(rows: list[Perm | None], queue: list[int]) -> bool:
+        while queue:
+            k = queue.pop()
             for y in range(n):
                 ly = rows[y]
                 if ly is None:
                     continue
-                lsy = rows[ly[y]]
+                sy = ly[y]
+                lsy = rows[sy]
                 if lsy is None:
                     continue
                 ny = compose(lsy, ly)
-                for x in range(n):
+                for x in range(n) if k == y or k == sy else (k,):
                     lx = rows[x]
                     if lx is None:
                         continue
-                    inv = inverses.get(lx)
-                    if inv is None:
-                        inv = inverses[lx] = inverse(lx)
-                    forced = compose(ny, inv)
-                    cur = rows[lx[y]]
+                    forced = compose(ny, inverses[lx])
+                    target = lx[y]
+                    cur = rows[target]
                     if cur is None:
-                        if forced < root or mc[cycle_type(forced)] < root:
+                        if forced not in allowed:
                             return False
-                        rows[lx[y]] = forced
-                        changed = True
+                        rows[target] = forced
+                        queue.append(target)
                     elif cur != forced:
                         return False
         return True
 
-    def rec(rows: list[Perm | None]) -> None:
-        nonlocal ticks
+    def survivors(rows: list[Perm | None], j: int) -> np.ndarray:
+        """Indices of the candidates for row j that pass the rule with x = j
+        against every y whose L_y and L_{y*y} are set."""
+        # code of each set row; -1 marks an unset row, -2 the branch row j
+        row_code = np.array(
+            [-1 if r is None else code_of[r] for r in rows], dtype=np.int64
+        )
+        row_code[j] = -2
+        keep = np.ones(len(cands), dtype=bool)
+        for y in range(n):
+            ly = rows[y]
+            if ly is None or rows[ly[y]] is None:
+                continue
+            ny = np.array(compose(rows[ly[y]], ly), dtype=np.intp)
+            fc = ny[CI] @ powers
+            pos = np.minimum(np.searchsorted(codes, fc), len(codes) - 1)
+            want = row_code[C[:, y]]
+            keep &= (
+                (codes[pos] == fc)
+                & ((want < 0) | (want == fc))
+                & ((want != -2) | (fc == codes))
+            )
+        return np.flatnonzero(keep)
+
+    def rec(rows: list[Perm | None], k: int) -> None:
+        nonlocal nodes, leaves
         # polled on the first node, so a root never starts past the deadline
-        if deadline is not None and ticks % 256 == 0 and time.monotonic() >= deadline:
+        if deadline is not None and nodes % 256 == 0 and time.monotonic() >= deadline:
             raise BudgetExceededError(f"enumeration budget exceeded at order {n}")
-        ticks += 1
+        nodes += 1
         rows = list(rows)
-        if not propagate(rows):
+        if not propagate(rows, [k]):
             return
         if None not in rows:
+            leaves += 1
             table = CayleyTable(tuple(rows))  # type: ignore[arg-type]
             if is_self_canonical(table):
                 results.append(table.rows)
             return
         j = rows.index(None)
-        for q in cands:
-            rows[j] = q
-            rec(rows)
-        rows[j] = None
+        for i in survivors(rows, j).tolist():
+            rows[j] = cands[i]
+            rec(rows, j)
 
     start: list[Perm | None] = [None] * n
     start[0] = root
-    rec(start)
-    return results
+    rec(start, 0)
+    return results, nodes, leaves
 
 
 def enumerate_tw_left_quasigroups(
@@ -135,12 +185,16 @@ def enumerate_tw_left_quasigroups(
     roots = _roots(n)
     parallel = threads > 1 and len(roots) > 1
     all_rows: list[tuple[tuple[int, ...], ...]] = []
-    completed = 0
+    completed = nodes = leaves = 0
     with ProcessPoolExecutor(threads) if parallel else contextlib.nullcontext() as pool:
         jobs = (itertools.repeat(n), roots, itertools.repeat(deadline))
         try:
-            for rows in (pool.map if parallel else map)(_search_root, *jobs):
+            for rows, root_nodes, root_leaves in (pool.map if parallel else map)(
+                _search_root, *jobs
+            ):
                 all_rows.extend(rows)
+                nodes += root_nodes
+                leaves += root_leaves
                 completed += 1
         except BudgetExceededError as exc:
             raise BudgetExceededError(
@@ -163,6 +217,8 @@ def enumerate_tw_left_quasigroups(
         quasigroup_count=quasi,
         neither_count=neither,
         representatives=tuple(tables),
+        nodes=nodes,
+        leaves=leaves,
     )
 
 

@@ -1,6 +1,13 @@
-import pytest
+import contextlib
+import io
+import re
 
-from tward.cli import main
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tward import CayleyTable
+from tward.cli import IDENTITY_NAMES, main
 
 from conftest import CYCLIC3, TABLE4
 
@@ -179,3 +186,76 @@ def test_enumerate_bad_budget_and_threads(capsys):
     assert code == 2 and out.startswith("RESULT: error")
     code, out = run(capsys, "--threads", "0", "enumerate", "3")
     assert code == 2 and out.startswith("RESULT: error")
+
+
+def test_enumerate_stats(capsys):
+    code, out = run(capsys, "enumerate", "4", "--stats")
+    lines = out.splitlines()
+    assert code == 0 and lines[0] == "RESULT: 14"
+    assert lines[1] == "n total perm quasi neither: 4 14 5 5 4"
+    stats = re.fullmatch(r"nodes (\d+) leaves 26 accepted 14", lines[2])
+    assert stats and int(stats[1]) >= 26
+
+
+# random table and block-family files: ragged rows, out-of-range entries,
+# order 0, non-integers and empty files
+_TOKENS = st.one_of(st.integers(-2, 7).map(str), st.sampled_from(["x", "1.5", "-", "#", "1e3"]))
+_LINES = st.lists(_TOKENS, max_size=6).map(" ".join)
+_TEXT = st.lists(_LINES, max_size=8).map("\n".join)
+
+
+@st.composite
+def _table_texts(draw):
+    """An order line, then rows that are permutations, ragged or out of range."""
+    n = draw(st.integers(0, 4))
+    row = st.permutations(range(n)).map(list) | st.lists(
+        st.integers(-1, n), min_size=max(n - 1, 0), max_size=n + 1
+    )
+    rows = draw(st.lists(row, min_size=max(n - 1, 0), max_size=n + 1))
+    return "\n".join([str(n)] + [" ".join(map(str, r)) for r in rows])
+
+
+@st.composite
+def _family_texts(draw):
+    x_size, a_size = draw(st.integers(0, 3)), draw(st.integers(0, 2))
+    m = x_size * a_size
+    bijection = st.permutations(range(m)).map(list)
+    line = bijection | st.lists(st.integers(-1, m), max_size=m + 1)
+    maps = draw(st.lists(line, min_size=max(x_size - 1, 0), max_size=x_size + 1))
+    return "\n".join([f"{x_size} {a_size}"] + [" ".join(map(str, f)) for f in maps])
+
+
+def _main_quietly(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@given(
+    st.one_of(_TEXT, _table_texts(), st.just("")),
+    st.sampled_from(["check", "recover"]),
+    st.sampled_from(sorted(IDENTITY_NAMES)),
+)
+@settings(max_examples=300, deadline=None)
+def test_fuzz_table_verbs(tmp_path_factory, text, verb, identity):
+    path = tmp_path_factory.mktemp("fuzz") / "t.tbl"
+    path.write_text(text)
+    argv = [verb, str(path)] + (["--identity", identity] if verb == "check" else [])
+    code, out = _main_quietly(argv)
+    assert code in (0, 1, 2, 3)
+    assert out.splitlines()[0].startswith("RESULT:")
+
+
+@given(st.one_of(_TEXT, _family_texts(), st.just("")))
+@settings(max_examples=300, deadline=None)
+def test_fuzz_construct_block(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("fuzz") / "f.fam"
+    path.write_text(text)
+    code, out = _main_quietly(["construct", "block", str(path)])
+    assert code in (0, 1, 2, 3)
+    if code == 0:
+        # a built table is written as a table file, which must parse back
+        assert CayleyTable.parse(out).is_left_quasigroup
+    else:
+        assert out.splitlines()[0].startswith("RESULT:")

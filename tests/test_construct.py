@@ -37,6 +37,16 @@ def test_twq_spec_validation(cyclic3):
         TwqSpec(group=g, psi=(0, 1, 2), c=5)
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["1\n0\n", "1\n0\n# psi\n", "1\n0\n# psi\n0\n# c\n"],
+    ids=["no-markers", "nothing-after-psi", "nothing-after-c"],
+)
+def test_twq_spec_parse_missing_parts(text):
+    with pytest.raises(ValueError):
+        TwqSpec.parse(text)
+
+
 def test_build_twq_small(cyclic3):
     g = as_group(cyclic3)
     t_id = build_twq(TwqSpec(group=g, psi=(0, 1, 2), c=0))

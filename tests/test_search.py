@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from tward import (
@@ -8,10 +10,93 @@ from tward import (
     table_isomorphic,
     twq_catalog_specs,
 )
+from tward import search
 from tward.errors import BudgetExceededError
-from tward.tables import is_self_canonical
+from tward.perms import compose, cycle_type, inverse, min_conjugates
+from tward.tables import CayleyTable, is_self_canonical
 
 ELL_EXPECTED = {1: 1, 2: 3, 3: 5, 4: 14, 5: 11, 6: 31}
+
+
+def _reference_leaves(n, root):
+    """Every complete table the full-sweep search reaches from ``root``.
+
+    Each node re-sweeps all (x, y) pairs with the translation form
+    L_{x*y} = L_{y*y} L_y L_x^{-1} until nothing changes, and branches on the
+    first unset row over every candidate; no worklist and no candidate filter.
+    """
+    mc = min_conjugates(n)
+    cands = [
+        q
+        for q in itertools.permutations(range(n))
+        if q >= root and mc[cycle_type(q)] >= root
+    ]
+    leaves = []
+
+    def propagate(rows):
+        changed = True
+        while changed:
+            changed = False
+            for y in range(n):
+                ly = rows[y]
+                if ly is None or rows[ly[y]] is None:
+                    continue
+                ny = compose(rows[ly[y]], ly)
+                for x in range(n):
+                    lx = rows[x]
+                    if lx is None:
+                        continue
+                    forced = compose(ny, inverse(lx))
+                    cur = rows[lx[y]]
+                    if cur is None:
+                        if forced < root or mc[cycle_type(forced)] < root:
+                            return False
+                        rows[lx[y]] = forced
+                        changed = True
+                    elif cur != forced:
+                        return False
+        return True
+
+    def rec(rows):
+        rows = list(rows)
+        if not propagate(rows):
+            return
+        if None not in rows:
+            leaves.append(tuple(rows))
+            return
+        j = rows.index(None)
+        for q in cands:
+            rows[j] = q
+            rec(rows)
+
+    rec([root] + [None] * (n - 1))
+    return leaves
+
+
+def test_search_matches_full_sweep_reference(monkeypatch):
+    checked = []
+
+    def recording(table):
+        checked.append(table.rows)
+        return is_self_canonical(table)
+
+    monkeypatch.setattr(search, "is_self_canonical", recording)
+    for n in range(1, 7):
+        for root in search._roots(n):
+            checked.clear()
+            rows, nodes, leaves = search._search_root(n, root, None)
+            expected = _reference_leaves(n, root)
+            assert sorted(checked) == sorted(expected) and leaves == len(expected)
+            accepted = [t for t in expected if is_self_canonical(CayleyTable(t))]
+            assert sorted(rows) == sorted(accepted)
+            assert nodes >= leaves
+
+
+def test_search_counters(enum_reports):
+    report = enum_reports(6)
+    assert report.leaves == 302
+    # the full-sweep search without the candidate filter visits 451,999 nodes
+    assert report.leaves <= report.nodes < 20_000
 
 
 def test_small_counts(enum_reports):
@@ -92,6 +177,7 @@ def test_threaded_run_matches_serial(enum_reports):
     parallel = enumerate_tw_left_quasigroups(5, threads=2)
     assert parallel.total == serial.total
     assert parallel.representatives == serial.representatives
+    assert (parallel.nodes, parallel.leaves) == (serial.nodes, serial.leaves)
 
 
 def test_summary_line(enum_reports):
