@@ -3,23 +3,15 @@ with the three correspondences to left-quasigroup identities."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import ConsistencyError, StructureError
 from .tables import CayleyTable, check_identity
 
 BRAID_KINDS = ("derived", "involutive", "idempotent")
 
-_KIND_IDENTITY = {
-    "derived": "rack",
-    "involutive": "rump",
-    "idempotent": "twisted_ward",
-}
-
-_KIND_DIV_IDENTITY = {
-    "derived": "rack_div",
-    "involutive": "rump_div",
-    "idempotent": "twisted_ward_div",
-}
+# the identity matching each kind; its division form adds "_div" to the name
+_KIND_IDENTITY = {"derived": "rack", "involutive": "rump", "idempotent": "twisted_ward"}
 
 
 @dataclass(frozen=True)
@@ -54,8 +46,7 @@ class Braiding:
         except StopIteration:
             raise ValueError("missing '# bullet' separator") from None
         circ = CayleyTable.parse("\n".join(lines[:split]))
-        bullet_rows = [ln for ln in lines[split + 1 :] if ln.strip() and not ln.lstrip().startswith("#")]
-        bullet = CayleyTable.parse("\n".join([str(circ.n)] + bullet_rows))
+        bullet = CayleyTable.parse("\n".join([str(circ.n)] + lines[split + 1 :]))
         return cls(circ=circ, bullet=bullet)
 
 
@@ -65,37 +56,40 @@ def _check_component_identities(b: Braiding, witness: bool):
     o = b.circ.rows
     u = b.bullet.rows
     for x in range(n):
+        ox, ux = o[x], u[x]
         for y in range(n):
-            xy, xby = o[x][y], u[x][y]
+            oy, uy = o[y], u[y]
+            xy, xby = ox[y], ux[y]
+            oxy, uxy, oxby, uxby = o[xy], u[xy], o[xby], u[xby]
             for z in range(n):
-                if o[x][o[y][z]] != o[xy][o[xby][z]]:
+                oyz = oy[z]
+                if ox[oyz] != oxy[oxby[z]]:
                     return False, ("YB1", (x, y, z)) if witness else None
-                if u[xy][o[xby][z]] != o[u[x][o[y][z]]][u[y][z]]:
+                w, uyz = ux[oyz], uy[z]
+                if uxy[oxby[z]] != o[w][uyz]:
                     return False, ("YB2", (x, y, z)) if witness else None
-                if u[xby][z] != u[u[x][o[y][z]]][u[y][z]]:
+                if uxby[z] != u[w][uyz]:
                     return False, ("YB3", (x, y, z)) if witness else None
     return True, None
 
 
 def _check_composed_maps(b: Braiding) -> bool:
-    """(r x 1)(1 x r)(r x 1) = (1 x r)(r x 1)(1 x r) on all points."""
+    """(r x 1)(1 x r)(r x 1) = (1 x r)(r x 1)(1 x r) on all points, with r
+    applied as a black box: a flat list over pair codes, r[a*n + b] = (a o b, a . b)."""
     n = b.n
-
-    def r1(t):
-        a, b_, c = t
-        p, q = b.apply(a, b_)
-        return (p, q, c)
-
-    def r2(t):
-        a, b_, c = t
-        p, q = b.apply(b_, c)
-        return (a, p, q)
-
+    r = list(zip(chain.from_iterable(b.circ.rows), chain.from_iterable(b.bullet.rows)))
     for x in range(n):
+        xn = x * n
         for y in range(n):
+            p1, p2 = r[xn + y]  # (r x 1)(x, y, z) = (p1, p2, z)
+            p1n, p2n, yn = p1 * n, p2 * n, y * n
             for z in range(n):
-                t = (x, y, z)
-                if r1(r2(r1(t))) != r2(r1(r2(t))):
+                q1, q2 = r[p2n + z]  # (1 x r): (p1, q1, q2)
+                l1, l2 = r[p1n + q1]  # (r x 1): (l1, l2, q2)
+                s1, s2 = r[yn + z]  # (1 x r)(x, y, z) = (x, s1, s2)
+                t1, t2 = r[xn + s1]  # (r x 1): (t1, t2, s2)
+                m1, m2 = r[t2 * n + s2]  # (1 x r): (t1, m1, m2)
+                if l1 != t1 or l2 != m1 or q2 != m2:
                     return False
     return True
 
@@ -108,9 +102,7 @@ def is_braiding(b: Braiding, witness: bool = False):
     by_identities, wit = _check_component_identities(b, witness)
     by_composition = _check_composed_maps(b)
     if by_identities != by_composition:
-        raise ConsistencyError(
-            "YB1-YB3 verdict disagrees with the composed-map check"
-        )
+        raise ConsistencyError("YB1-YB3 verdict disagrees with the composed-map check")
     return (by_identities, wit) if witness else by_identities
 
 
@@ -127,14 +119,9 @@ class BraidingProperties:
 def properties(b: Braiding) -> BraidingProperties:
     n = b.n
     derived = all(b.bullet.rows[x][y] == x for x in range(n) for y in range(n))
-    involutive = True
-    idempotent = True
-    for x in range(n):
-        for y in range(n):
-            p, q = b.apply(x, y)
-            pp = b.apply(p, q)
-            involutive = involutive and pp == (x, y)
-            idempotent = idempotent and pp == (p, q)
+    images = [((x, y), b.apply(x, y)) for x in range(n) for y in range(n)]
+    involutive = all(b.apply(*r) == xy for xy, r in images)
+    idempotent = all(b.apply(*r) == r for _, r in images)
     left_nd = b.circ.is_left_quasigroup
     right_qg = all(len(set(col)) == n for col in b.bullet.columns())
     return BraidingProperties(
@@ -197,7 +184,6 @@ def induced_bullet(t_circ: CayleyTable, kind: str) -> Braiding:
 
 def matching_identity(kind: str, division_form: bool = False) -> str:
     """Name of the left-quasigroup identity paired with a braiding kind."""
-    table = _KIND_DIV_IDENTITY if division_form else _KIND_IDENTITY
-    if kind not in table:
+    if kind not in _KIND_IDENTITY:
         raise ValueError(f"unknown braiding kind {kind!r}")
-    return table[kind]
+    return _KIND_IDENTITY[kind] + ("_div" if division_form else "")

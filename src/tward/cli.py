@@ -98,6 +98,7 @@ def cmd_construct(args) -> int:
     else:  # block
         fam = _parse_block_family(Path(args.family).read_text())
         table = construct.build_block(fam)
+    print("RESULT: ok")
     sys.stdout.write(table.to_text())
     return EXIT_OK
 
@@ -162,6 +163,7 @@ def cmd_braiding(args) -> int:
             )
         )
         return EXIT_OK if ok else EXIT_FAIL
+    print("RESULT: ok")
     sys.stdout.write(b.to_text())
     return EXIT_OK
 

@@ -7,7 +7,7 @@ Everything here is immutable and safe to share.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
@@ -15,29 +15,57 @@ import numpy as np
 
 from .errors import IdentityViolationError, StructureError
 
-IDENTITY_KINDS = (
-    "rack",
-    "rump",
-    "twisted_ward",
-    "ward",
-    "rack_div",
-    "rump_div",
-    "twisted_ward_div",
-)
+# Each identity reads L_a L_b = L_c L_d as maps of z, with L_a the row of a, (a, b, c, d)
+# computed from (rows, ld, x, y) and ld the left division rows; c = None is the identity map.
+_TRANSLATIONS = {
+    "rack": lambda r, ld, x, y: (r[x][y], x, x, y),
+    "rump": lambda r, ld, x, y: (r[x][y], x, r[y][x], y),
+    "twisted_ward": lambda r, ld, x, y: (r[x][y], x, r[y][y], y),
+    "ward": lambda r, ld, x, y: (r[x][y], x, None, y),
+    "rack_div": lambda r, ld, x, y: (x, y, r[x][y], x),
+    "rump_div": lambda r, ld, x, y: (x, y, r[x][y], ld[r[x][y]][x]),
+    "twisted_ward_div": lambda r, ld, x, y: (x, y, r[x][y], ld[r[x][y]][r[x][y]]),
+}
+IDENTITY_KINDS = tuple(_TRANSLATIONS)
+
+
+@lru_cache(maxsize=None)
+def _carrier(n: int) -> frozenset:
+    return frozenset(range(n))
+
+
+def _check_row(row: Sequence, n: int) -> None:
+    """Raise ValueError at an entry that is not an integer in 0..n-1 (numpy integers pass)."""
+    for v in row:
+        if not hasattr(v, "__index__"):
+            raise ValueError(f"entry {v!r} is not an integer")
+        if not (0 <= v < n):
+            raise ValueError(f"entry {v} out of range 0..{n - 1}")
 
 
 @dataclass(frozen=True)
 class CayleyTable:
     rows: tuple[tuple[int, ...], ...]
+    # every row is a permutation; set by __post_init__
+    is_left_quasigroup: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.rows)
+        carrier = _carrier(n)
+        lq = True
         for row in self.rows:
             if len(row) != n:
                 raise ValueError("table is not square")
-            for v in row:
-                if not (0 <= v < n):
-                    raise ValueError(f"entry {v} out of range 0..{n - 1}")
+            try:
+                s = set(row)
+                # sum() of Python ints is an int; a float, Fraction or numpy entry changes its type
+                ints = s <= carrier and type(sum(row)) is int
+            except TypeError:  # an unhashable entry or an unsummable mix
+                ints = False
+            if not ints:
+                _check_row(row, n)
+            lq = lq and len(s) == n
+        object.__setattr__(self, "is_left_quasigroup", lq)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "CayleyTable":
@@ -68,10 +96,6 @@ class CayleyTable:
             else:
                 out.append(None)
         return tuple(out)
-
-    @cached_property
-    def is_left_quasigroup(self) -> bool:
-        return all(r is not None for r in self._ldiv_rows)
 
     @cached_property
     def is_quasigroup(self) -> bool:
@@ -122,7 +146,7 @@ class CayleyTable:
 
     @classmethod
     def parse(cls, text: str) -> "CayleyTable":
-        data = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+        data = _data_lines(text)
         if not data:
             raise ValueError("empty table file")
         try:
@@ -140,6 +164,11 @@ class CayleyTable:
                 raise ValueError(f"row {ln!r} does not have {n} entries")
             rows.append(row)
         return cls.from_rows(rows)
+
+
+def _data_lines(text: str) -> list[str]:
+    """Lines that are not blank, '#' comments or the CLI's 'RESULT:' line."""
+    return [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith(("#", "RESULT:"))]
 
 
 @dataclass(frozen=True)
@@ -168,37 +197,22 @@ def _require_lq(t: CayleyTable) -> None:
 def check_identity(t: CayleyTable, kind: str, witness: bool = False):
     """Brute-force check of one of the named identities over all n^3 triples.
 
-    With ``witness=True`` returns (verdict, failing triple or None).
+    With ``witness=True`` returns (verdict, first failing triple or None).
     """
-    if kind not in IDENTITY_KINDS:
+    translations = _TRANSLATIONS.get(kind)
+    if translations is None:
         raise ValueError(f"unknown identity kind {kind!r}")
     _require_lq(t)
-    n = t.n
-    rows = t.rows
-    ld = t._ldiv_rows
-
-    def sides(x: int, y: int, z: int) -> tuple[int, int]:
-        if kind == "rack":
-            return rows[rows[x][y]][rows[x][z]], rows[x][rows[y][z]]
-        if kind == "rump":
-            return rows[rows[x][y]][rows[x][z]], rows[rows[y][x]][rows[y][z]]
-        if kind == "twisted_ward":
-            return rows[rows[x][y]][rows[x][z]], rows[rows[y][y]][rows[y][z]]
-        if kind == "ward":
-            return rows[rows[x][y]][rows[x][z]], rows[y][z]
-        xy = rows[x][y]
-        if kind == "rack_div":
-            return rows[x][rows[y][z]], rows[xy][rows[x][z]]
-        if kind == "rump_div":
-            return rows[x][rows[y][z]], rows[xy][rows[ld[xy][x]][z]]
-        # twisted_ward_div
-        return rows[x][rows[y][z]], rows[xy][rows[ld[xy][xy]][z]]
-
+    n, rows = t.n, t.rows
+    ld = t._ldiv_rows if kind.endswith("_div") else None
+    identity = range(n)
     for x in range(n):
         for y in range(n):
+            a, b, c, d = translations(rows, ld, x, y)
+            A, B, D = rows[a], rows[b], rows[d]
+            C = identity if c is None else rows[c]
             for z in range(n):
-                lhs, rhs = sides(x, y, z)
-                if lhs != rhs:
+                if A[B[z]] != C[D[z]]:
                     return (False, (x, y, z)) if witness else False
     return (True, None) if witness else True
 

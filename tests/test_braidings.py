@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,8 +14,8 @@ from tward import (
     properties,
     to_braiding,
 )
-from tward.braidings import BRAID_KINDS, matching_identity
-from tward.errors import StructureError
+from tward.braidings import BRAID_KINDS, _check_composed_maps, matching_identity
+from tward.errors import ConsistencyError, StructureError
 
 
 def small_left_quasigroups(max_n=4):
@@ -129,3 +131,108 @@ def test_correspondence_property(t):
 def test_from_braiding_inverts_to_braiding(t):
     for kind in BRAID_KINDS:
         assert from_braiding(to_braiding(t, kind)) == t
+
+
+def _reference_component_identities(b):
+    """YB1-YB3 evaluated per triple, as before the rows were hoisted."""
+    n = b.n
+    o = b.circ.rows
+    u = b.bullet.rows
+    for x in range(n):
+        for y in range(n):
+            xy, xby = o[x][y], u[x][y]
+            for z in range(n):
+                if o[x][o[y][z]] != o[xy][o[xby][z]]:
+                    return False, ("YB1", (x, y, z))
+                if u[xy][o[xby][z]] != o[u[x][o[y][z]]][u[y][z]]:
+                    return False, ("YB2", (x, y, z))
+                if u[xby][z] != u[u[x][o[y][z]]][u[y][z]]:
+                    return False, ("YB3", (x, y, z))
+    return True, None
+
+
+def _reference_composed_maps(b):
+    """(r x 1)(1 x r)(r x 1) = (1 x r)(r x 1)(1 x r) on point triples."""
+    n = b.n
+
+    def r1(t):
+        a, b_, c = t
+        p, q = b.apply(a, b_)
+        return (p, q, c)
+
+    def r2(t):
+        a, b_, c = t
+        p, q = b.apply(b_, c)
+        return (a, p, q)
+
+    for t in itertools.product(range(n), repeat=3):
+        if r1(r2(r1(t))) != r2(r1(r2(t))):
+            return False
+    return True
+
+
+@st.composite
+def braiding_pairs(draw, max_n=5):
+    """(circ, bullet) pairs: arbitrary rows (constant rows included), and the
+    braidings of left quasigroups, most of which fail and some of which hold."""
+    n = draw(st.integers(1, max_n))
+    row = st.one_of(
+        st.permutations(range(n)).map(tuple),
+        st.integers(0, n - 1).map(lambda v: (v,) * n),
+        st.lists(st.integers(0, n - 1), min_size=n, max_size=n).map(tuple),
+    )
+    table = st.lists(row, min_size=n, max_size=n).map(lambda rows: CayleyTable(tuple(rows)))
+    if draw(st.booleans()):
+        return Braiding(circ=draw(table), bullet=draw(table))
+    t = draw(small_left_quasigroups(max_n))
+    build = draw(st.sampled_from([to_braiding, induced_bullet]))
+    return build(t, draw(st.sampled_from(BRAID_KINDS)))
+
+
+def assert_braiding_matches_reference(b):
+    expected = _reference_component_identities(b)
+    assert _reference_composed_maps(b) == expected[0]
+    assert _check_composed_maps(b) == expected[0]
+    assert is_braiding(b, witness=True) == expected
+    assert is_braiding(b) == expected[0]
+
+
+@given(braiding_pairs())
+@settings(max_examples=400, deadline=None)
+def test_braiding_checks_match_reference(b):
+    assert_braiding_matches_reference(b)
+
+
+def test_braiding_checks_match_reference_on_fixed_pairs():
+    n = 3
+    identity_map = Braiding(  # r = id, whose circ rows are constant
+        circ=CayleyTable.from_rows([[x] * n for x in range(n)]),
+        bullet=CayleyTable.from_rows([list(range(n))] * n),
+    )
+    flip = Braiding(circ=identity_map.bullet, bullet=identity_map.circ)
+    verdicts = []
+    for b in (identity_map, flip):
+        assert_braiding_matches_reference(b)
+        verdicts.append(is_braiding(b))
+    for rows in itertools.product(itertools.permutations(range(3)), repeat=3):
+        for kind in BRAID_KINDS:
+            for b in (to_braiding(CayleyTable(rows), kind), induced_bullet(CayleyTable(rows), kind)):
+                assert_braiding_matches_reference(b)
+                verdicts.append(is_braiding(b))
+    assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("checker", ["_check_component_identities", "_check_composed_maps"])
+def test_braiding_oracles_disagreeing_raise(monkeypatch, table4, cyclic3, checker):
+    from tward import braidings
+
+    original = getattr(braidings, checker)
+
+    def flipped(b, *args):
+        verdict = original(b, *args)
+        return (not verdict[0], None) if args else not verdict
+
+    monkeypatch.setattr(braidings, checker, flipped)
+    for t in (table4, cyclic3):  # the idempotent braiding of table4 holds, of cyclic3 fails
+        with pytest.raises(ConsistencyError):
+            is_braiding(to_braiding(t, "idempotent"))

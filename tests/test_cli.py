@@ -82,7 +82,8 @@ def test_construct_and_recover(capsys, cyclic3_file, tmp_path):
 def test_construct_perm(capsys):
     code, out = run(capsys, "construct", "perm", "3", "--f", "2 0 1")
     assert code == 0
-    assert out.splitlines()[1:] == ["2 0 1"] * 3
+    # the RESULT line, then a table file that parses back
+    assert out.splitlines() == ["RESULT: ok", "3"] + ["2 0 1"] * 3
 
 
 def test_construct_bad_psi(capsys, cyclic3_file):
@@ -113,6 +114,20 @@ def test_braiding_output_parses(capsys, table4_file):
     code, out = run(capsys, "braiding", table4_file, "--kind", "idempotent")
     assert code == 0
     assert Braiding.parse(out).n == 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "twq", "{c3}", "--psi", "0 2 1"],
+        ["construct", "affine", "{c3}", "--phi", "0 2 1", "--psi", "0 2 1"],
+        ["braiding", "{t4}", "--kind", "derived"],
+    ],
+    ids=["twq", "affine", "braiding"],
+)
+def test_written_files_start_with_result(capsys, cyclic3_file, table4_file, argv):
+    code, out = run(capsys, *(a.format(c3=cyclic3_file, t4=table4_file) for a in argv))
+    assert code == 0 and out.splitlines()[0] == "RESULT: ok"
 
 
 def test_braiding_rejected(capsys, cyclic3_file):
@@ -254,8 +269,7 @@ def test_fuzz_construct_block(tmp_path_factory, text):
     path.write_text(text)
     code, out = _main_quietly(["construct", "block", str(path)])
     assert code in (0, 1, 2, 3)
+    assert out.splitlines()[0].startswith("RESULT:")
     if code == 0:
         # a built table is written as a table file, which must parse back
         assert CayleyTable.parse(out).is_left_quasigroup
-    else:
-        assert out.splitlines()[0].startswith("RESULT:")

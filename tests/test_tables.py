@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -60,6 +61,34 @@ def test_parse_errors():
     with pytest.raises(ValueError):
         CayleyTable.parse("1\n0\n0")
     assert CayleyTable.parse("# c\n1\n0\n# trailing comment\n") == CayleyTable(((0,),))
+    # the CLI writes a RESULT line before a table; it reads back like a comment
+    assert CayleyTable.parse("RESULT: ok\n1\n0\n") == CayleyTable(((0,),))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [((0, 1.5), (1, 0)), ((0, 1.0), (1, 0)), ((0, "1"), (1, 0)), ((0, None), (1, 0)), ((0, [1]), (1, 0))],
+    ids=["float", "integral-float", "string", "none", "unhashable"],
+)
+def test_non_integer_entries_rejected(rows):
+    with pytest.raises(ValueError):
+        CayleyTable(rows)
+
+
+def test_numpy_integer_entries_accepted():
+    rows = np.array([[1, 0], [1, 0]], dtype=np.int64)
+    assert CayleyTable.from_rows(rows) == CayleyTable(((1, 0), (1, 0)))
+    t = CayleyTable(tuple(tuple(r) for r in rows))
+    assert t.is_left_quasigroup and check_identity(t, "rack")
+
+
+def test_left_quasigroup_flag_needs_no_division_rows():
+    for entries in itertools.product(range(2), repeat=4):
+        t = CayleyTable((entries[:2], entries[2:]))
+        assert t.is_left_quasigroup == all(sorted(r) == [0, 1] for r in t.rows)
+    t = CayleyTable(((1, 0, 2), (0, 1, 2), (2, 1, 0)))
+    assert check_identity(t, "twisted_ward") is False
+    assert "_ldiv_rows" not in vars(t)
 
 
 def test_divisions(cyclic3):
@@ -111,6 +140,64 @@ def test_identity_checks(table4, table6, cyclic3):
 def test_unknown_identity(table4):
     with pytest.raises(ValueError):
         check_identity(table4, "nope")
+
+
+def _reference_check_identity(t, kind):
+    """The per-triple checker the table-driven check_identity replaced: both
+    sides of the identity evaluated directly for each (x, y, z)."""
+    n = t.n
+    rows = t.rows
+    ld = t._ldiv_rows
+
+    def sides(x, y, z):
+        if kind == "rack":
+            return rows[rows[x][y]][rows[x][z]], rows[x][rows[y][z]]
+        if kind == "rump":
+            return rows[rows[x][y]][rows[x][z]], rows[rows[y][x]][rows[y][z]]
+        if kind == "twisted_ward":
+            return rows[rows[x][y]][rows[x][z]], rows[rows[y][y]][rows[y][z]]
+        if kind == "ward":
+            return rows[rows[x][y]][rows[x][z]], rows[y][z]
+        xy = rows[x][y]
+        if kind == "rack_div":
+            return rows[x][rows[y][z]], rows[xy][rows[x][z]]
+        if kind == "rump_div":
+            return rows[x][rows[y][z]], rows[xy][rows[ld[xy][x]][z]]
+        assert kind == "twisted_ward_div"
+        return rows[x][rows[y][z]], rows[xy][rows[ld[xy][xy]][z]]
+
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                lhs, rhs = sides(x, y, z)
+                if lhs != rhs:
+                    return False, (x, y, z)
+    return True, None
+
+
+def assert_identities_match_reference(t):
+    for kind in IDENTITY_KINDS:
+        expected = _reference_check_identity(t, kind)
+        assert check_identity(t, kind, witness=True) == expected, kind
+        assert check_identity(t, kind) == expected[0]
+
+
+def test_identities_match_reference_on_all_order3_left_quasigroups():
+    tables = list(all_left_quasigroups(3))
+    assert len(tables) == 216 and len(IDENTITY_KINDS) == 7
+    holds = dict.fromkeys(IDENTITY_KINDS, 0)
+    for t in tables:
+        assert_identities_match_reference(t)
+        for kind in IDENTITY_KINDS:
+            holds[kind] += check_identity(t, kind)
+    # every kind both holds and fails somewhere, so verdicts and witnesses are both compared
+    assert all(0 < h < 216 for h in holds.values()), holds
+
+
+@given(left_quasigroups(max_n=6))
+@settings(max_examples=150, deadline=None)
+def test_identities_match_reference_on_drawn_tables(t):
+    assert_identities_match_reference(t)
 
 
 @given(left_quasigroups(), st.data())
