@@ -10,6 +10,7 @@ from .construct import (
     build_permutational,
     build_twq,
     decompose_block,
+    dis_element_form,
     recover_structure,
     twq_spec_isomorphic,
 )
@@ -22,10 +23,8 @@ from .errors import (
     StructureError,
 )
 from .groups import (
-    CountsRow,
     FiniteGroup,
     as_group,
-    counts_row,
     enumerate_groups,
     is_group,
     partition_number,
@@ -36,14 +35,15 @@ from .perms import (
     automorphism_group,
     closure,
     conjugacy_classes,
-    dis_element_form,
     is_group_isotope,
     is_regular,
     multiplication_groups,
 )
 from .search import (
+    CountsRow,
     DichotomyReport,
     EnumerationReport,
+    counts_row,
     dichotomy_report,
     enumerate_tw_left_quasigroups,
     enumerate_tw_quasigroups,

@@ -183,7 +183,7 @@ def cmd_count(args) -> int:
     elif args.what == "p":
         print(f"RESULT: {groups.partition_number(args.n)}")
     else:
-        row = groups.counts_row(args.n, budget_seconds=args.budget)
+        row = search.counts_row(args.n, budget_seconds=args.budget)
         ell = "?" if row.ell is None else row.ell
         print(f"RESULT: n={row.n} ell={ell} q={row.q} p={row.p}")
     return EXIT_OK
@@ -193,10 +193,6 @@ def cmd_enumerate(args) -> int:
     report = search.enumerate_tw_left_quasigroups(
         args.n, budget_seconds=args.budget, threads=args.threads
     )
-    print(f"RESULT: {report.total}")
-    print(f"n total perm quasi neither: {report.summary_line()}")
-    if args.stats:
-        print(f"nodes {report.nodes} leaves {report.leaves} accepted {report.total}")
     if args.out:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -206,6 +202,10 @@ def cmd_enumerate(args) -> int:
             (outdir / name).write_text(t.to_text(comments=[f"class {i} of order {args.n}"]))
         summary = outdir / "summary.txt"
         summary.write_text(report.summary_line() + "\n")
+    print(f"RESULT: {report.total}")
+    print(f"n total perm quasi neither: {report.summary_line()}")
+    if args.stats:
+        print(f"nodes {report.nodes} leaves {report.leaves} accepted {report.total}")
     return EXIT_OK
 
 

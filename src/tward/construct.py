@@ -6,8 +6,16 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import AlgebraError, ConsistencyError, IdentityViolationError
-from .groups import FiniteGroup, as_group
-from .perms import Perm, compose, inverse, is_perm
+from .groups import FiniteGroup, as_group, is_group
+from .perms import (
+    Perm,
+    compose,
+    format_perm,
+    inverse,
+    is_perm,
+    multiplication_groups,
+    parse_perm,
+)
 from .tables import (
     CayleyTable,
     cayley_kernel,
@@ -50,8 +58,6 @@ class TwqSpec:
             raise ValueError("constant c out of range")
 
     def to_text(self) -> str:
-        from .perms import format_perm
-
         return self.group.to_text() + f"# psi\n{format_perm(self.psi)}\n# c\n{self.c}\n"
 
     @classmethod
@@ -63,8 +69,6 @@ class TwqSpec:
             if idx is None or idx + 1 == len(lines) or not lines[idx + 1].strip():
                 raise ValueError(f"spec text needs a '# {marker}' line followed by its value")
             at[marker] = idx
-        from .perms import parse_perm
-
         table = CayleyTable.parse("\n".join(lines[: at["psi"]]))
         psi = parse_perm(lines[at["psi"] + 1])
         c = int(lines[at["c"] + 1])
@@ -190,6 +194,36 @@ def decompose_block(t: CayleyTable) -> BlockFamily:
     return BlockFamily(x_size=k, a_size=d, maps=tuple(maps))
 
 
+def _isotope(t: CayleyTable, e: int) -> CayleyTable:
+    """The isotope x <> y = (x rdiv e)*(e ldiv y) of a quasigroup."""
+    n = t.n
+    re = [t.rdiv(x, e) for x in range(n)]
+    le = t._ldiv_rows[e]
+    assert le is not None
+    return CayleyTable.from_rows([[t.rows[re[x]][le[y]] for y in range(n)] for x in range(n)])
+
+
+@dataclass(frozen=True)
+class DisElementForm:
+    e: int
+    verified: bool
+
+
+def dis_element_form(t: CayleyTable) -> DisElementForm:
+    """For a twisted Ward quasigroup: verify Dis = {L_x^{-1} L_e : x} with e
+    the unique square, and that (x rdiv e)*(e ldiv y) is a group operation."""
+    if not t.is_quasigroup or not check_identity(t, "twisted_ward"):
+        raise IdentityViolationError("table is not a twisted Ward quasigroup")
+    squares = set(squaring_map(t))
+    e = next(iter(squares))
+    if len(squares) != 1:
+        return DisElementForm(e=min(squares), verified=False)
+    rows = t.rows
+    wanted = {compose(inverse(rows[x]), rows[e]) for x in range(t.n)}
+    ok = multiplication_groups(t).dis.elements == frozenset(wanted)
+    return DisElementForm(e=e, verified=ok and is_group(_isotope(t, e)))
+
+
 def recover_structure(t: CayleyTable) -> TwqSpec:
     """Recover a (group, psi, c) presentation of a twisted Ward quasigroup.
 
@@ -202,12 +236,7 @@ def recover_structure(t: CayleyTable) -> TwqSpec:
         raise IdentityViolationError("structure recovery needs a twisted Ward quasigroup")
     n = t.n
     e = t.rows[0][0]
-    re = [t.rdiv(x, e) for x in range(n)]
-    le = t._ldiv_rows[e]
-    assert le is not None
-    diamond = CayleyTable.from_rows(
-        [[t.rows[re[x]][le[y]] for y in range(n)] for x in range(n)]
-    )
+    diamond = _isotope(t, e)
     psi = tuple(t.rows[e])
     # verify x*y = c . psi(x^-1 <> y) with c = e before relabeling
     dinv = [diamond.rows[x].index(e) for x in range(n)]
@@ -220,8 +249,7 @@ def recover_structure(t: CayleyTable) -> TwqSpec:
         pi[0], pi[e] = e, 0
         diamond = diamond.relabel(pi)
         psi = tuple(pi[psi[pi[y]]] for y in range(n))
-    group = FiniteGroup(as_group(diamond).table)
-    spec = TwqSpec(group=group, psi=psi, c=0)
+    spec = TwqSpec(group=as_group(diamond), psi=psi, c=0)
     if not table_isomorphic(build_twq(spec), t):
         raise ConsistencyError("rebuilt table is not isomorphic to the input")
     return spec

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
-from .errors import ConsistencyError, StructureError
+from .errors import StructureError
 from .perms import (
     Perm,
     automorphism_group,
@@ -193,31 +192,3 @@ def partition_number(n: int) -> int:
         for total in range(part, n + 1):
             ways[total] += ways[total - part]
     return ways[n]
-
-
-@dataclass(frozen=True)
-class CountsRow:
-    n: int
-    ell: Optional[int]
-    q: int
-    p: int
-
-
-def _is_prime(n: int) -> bool:
-    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
-
-
-def counts_row(n: int, with_ell: bool = True, budget_seconds: float = 600.0) -> CountsRow:
-    """One row of the classification table.  ell is computed by exhaustive
-    enumeration when requested and within range, else left unknown."""
-    q = q_count(n)
-    p = partition_number(n)
-    ell: Optional[int] = None
-    if with_ell:
-        from .search import MAX_ENUM_ORDER, enumerate_tw_left_quasigroups
-
-        if n <= MAX_ENUM_ORDER:
-            ell = enumerate_tw_left_quasigroups(n, budget_seconds=budget_seconds).total
-    if ell is not None and _is_prime(n) and ell != q + p:
-        raise ConsistencyError(f"prime-order identity ell = q + p fails at n = {n}")
-    return CountsRow(n=n, ell=ell, q=q, p=p)

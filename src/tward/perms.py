@@ -4,16 +4,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
-from .errors import ClosureOverflowError, IdentityViolationError, StructureError
-from .tables import (
-    CayleyTable,
-    check_identity,
-    cycle_type,
-    find_all_isomorphisms,
-    squaring_map,
-)
+from .errors import ClosureOverflowError, StructureError
+from .tables import CayleyTable, cycle_type, find_all_isomorphisms
 
 Perm = tuple[int, ...]
 
@@ -117,7 +111,7 @@ class MultiplicationGroups:
     dis: PermGroup
 
 
-def multiplication_groups(t: CayleyTable, cap: int = DEFAULT_CAP) -> MultiplicationGroups:
+def multiplication_groups(t: CayleyTable) -> MultiplicationGroups:
     """Left multiplication group and the three displacement groups of a left
     quasigroup.  Dis+ and Dis- use the fixed-base generators L_e L_x^{-1} and
     L_x^{-1} L_e with e = 0."""
@@ -127,12 +121,12 @@ def multiplication_groups(t: CayleyTable, cap: int = DEFAULT_CAP) -> Multiplicat
     rows = [tuple(r) for r in t.rows]
     invs = [inverse(r) for r in rows]
     e = 0
-    lmlt = closure(rows, n, cap)
+    lmlt = closure(rows, n)
     plus_gens = [compose(rows[e], invs[x]) for x in range(n)]
     minus_gens = [compose(invs[x], rows[e]) for x in range(n)]
-    dis_plus = closure(plus_gens, n, cap)
-    dis_minus = closure(minus_gens, n, cap)
-    dis = closure(plus_gens + minus_gens, n, cap)
+    dis_plus = closure(plus_gens, n)
+    dis_minus = closure(minus_gens, n)
+    dis = closure(plus_gens + minus_gens, n)
     return MultiplicationGroups(lmlt, dis_plus, dis_minus, dis)
 
 
@@ -143,44 +137,11 @@ def is_regular(g: PermGroup) -> bool:
     return {p[0] for p in g.elements} == set(range(g.degree))
 
 
-def is_group_isotope(t: CayleyTable, cap: int = DEFAULT_CAP) -> bool:
+def is_group_isotope(t: CayleyTable) -> bool:
     """A quasigroup is isotopic to a group iff Dis+ acts regularly."""
     if not t.is_quasigroup:
         raise StructureError("group isotopy test requires a quasigroup")
-    return is_regular(multiplication_groups(t, cap).dis_plus)
-
-
-@dataclass(frozen=True)
-class DisElementForm:
-    e: int
-    verified: bool
-
-
-def dis_element_form(t: CayleyTable, cap: int = DEFAULT_CAP) -> DisElementForm:
-    """For a twisted Ward quasigroup: verify Dis = {L_x^{-1} L_e : x} with e
-    the unique square, and that (x rdiv e)*(e ldiv y) is a group operation."""
-    if not t.is_quasigroup or not check_identity(t, "twisted_ward"):
-        raise IdentityViolationError("table is not a twisted Ward quasigroup")
-    squares = set(squaring_map(t))
-    e = next(iter(squares))
-    if len(squares) != 1:
-        return DisElementForm(e=min(squares), verified=False)
-    rows = [tuple(r) for r in t.rows]
-    invs = [inverse(r) for r in rows]
-    dis = multiplication_groups(t, cap).dis
-    wanted = {compose(invs[x], rows[e]) for x in range(t.n)}
-    ok = dis.elements == frozenset(wanted)
-    if ok:
-        from .groups import is_group  # deferred: groups imports perms
-
-        n = t.n
-        re = [t.rdiv(x, e) for x in range(n)]
-        le = t._ldiv_rows[e]
-        isotope = CayleyTable.from_rows(
-            [[rows[re[x]][le[y]] for y in range(n)] for x in range(n)]
-        )
-        ok = is_group(isotope)
-    return DisElementForm(e=e, verified=ok)
+    return is_regular(multiplication_groups(t).dis_plus)
 
 
 def automorphism_group(t: CayleyTable) -> PermGroup:

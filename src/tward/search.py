@@ -33,8 +33,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .construct import TwqSpec, build_twq
 from .errors import BudgetExceededError, ConsistencyError
-from .perms import Perm, compose, cycle_type, inverse, min_conjugates
+from .groups import enumerate_groups, partition_number, q_count
+from .perms import (
+    Perm,
+    automorphism_group,
+    compose,
+    conjugacy_classes,
+    cycle_type,
+    inverse,
+    min_conjugates,
+)
 from .tables import CayleyTable, canonical_form, classify_structure, is_self_canonical
 
 MAX_ENUM_ORDER = 9
@@ -226,10 +236,6 @@ def twq_catalog_specs(n: int):
     """One TwqSpec per isomorphism class of twisted Ward quasigroups of order
     n: all groups of order n crossed with conjugacy-class representatives of
     their automorphism groups, constant 0."""
-    from .construct import TwqSpec
-    from .groups import enumerate_groups
-    from .perms import automorphism_group, conjugacy_classes
-
     specs = []
     for g in enumerate_groups(n):
         aut = automorphism_group(g.table)
@@ -248,19 +254,18 @@ def enumerate_tw_quasigroups(
 
     Pipeline (b) builds them from the group catalog; with cross_check
     (default: automatic for n <= 6) the enumeration-filter pipeline (a) must
-    agree in count.
+    agree in count.  The catalog holds one spec per class, so its distinct
+    canonical forms must number len(specs) = q(n).
     """
-    from .construct import build_twq
-    from .groups import q_count
-
+    specs = twq_catalog_specs(n)
     by_canon: dict[tuple, CayleyTable] = {}
-    for spec in twq_catalog_specs(n):
+    for spec in specs:
         c = canonical_form(build_twq(spec))
         by_canon[c.rows] = c
     reps = tuple(by_canon[rows] for rows in sorted(by_canon))
-    if len(reps) != q_count(n):
+    if len(reps) != len(specs):
         raise ConsistencyError(
-            f"catalog pipeline found {len(reps)} classes, q({n}) = {q_count(n)}"
+            f"catalog pipeline found {len(reps)} classes, q({n}) = {len(specs)}"
         )
     if cross_check is None:
         cross_check = n <= 6
@@ -274,6 +279,10 @@ def enumerate_tw_quasigroups(
                 f"search: {[t.rows for t in filtered]}; catalog: {[t.rows for t in reps]}"
             )
     return reps
+
+
+def _is_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
 
 
 @dataclass(frozen=True)
@@ -290,7 +299,7 @@ def dichotomy_report(
 ) -> DichotomyReport:
     """Check that every twisted Ward left quasigroup of prime order n is
     permutational or a quasigroup; counterexamples are attached."""
-    if n < 2 or any(n % d == 0 for d in range(2, n)):
+    if not _is_prime(n):
         raise ValueError(f"{n} is not prime")
     report = enumerate_tw_left_quasigroups(n, budget_seconds, threads)
     witnesses = tuple(
@@ -305,3 +314,26 @@ def dichotomy_report(
         quasigroup_count=report.quasigroup_count,
         witnesses=witnesses,
     )
+
+
+@dataclass(frozen=True)
+class CountsRow:
+    n: int
+    ell: int | None
+    q: int
+    p: int
+
+
+def counts_row(
+    n: int, with_ell: bool = True, budget_seconds: float = DEFAULT_BUDGET
+) -> CountsRow:
+    """One row of the classification table.  ell is computed by exhaustive
+    enumeration when requested and within range, else left unknown."""
+    q = q_count(n)
+    p = partition_number(n)
+    ell = None
+    if with_ell and n <= MAX_ENUM_ORDER:
+        ell = enumerate_tw_left_quasigroups(n, budget_seconds=budget_seconds).total
+    if ell is not None and _is_prime(n) and ell != q + p:
+        raise ConsistencyError(f"prime-order identity ell = q + p fails at n = {n}")
+    return CountsRow(n=n, ell=ell, q=q, p=p)

@@ -161,6 +161,15 @@ def test_enumerate_verb(capsys, tmp_path):
     assert (outdir / "summary.txt").read_text().strip() == "4 14 5 5 4"
 
 
+def test_enumerate_out_under_a_file(capsys, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, out = run(capsys, "enumerate", "3", "--out", str(blocker / "reps"))
+    assert code == 2
+    assert out.splitlines()[0].startswith("RESULT: error")
+    assert out.count("RESULT:") == 1
+
+
 def test_dichotomy_verb(capsys):
     code, out = run(capsys, "dichotomy", "3")
     assert code == 0

@@ -6,7 +6,11 @@ from hypothesis import strategies as st
 
 from tward import (
     CayleyTable,
+    TwqSpec,
     as_group,
+    automorphism_group,
+    build_twq,
+    canonical_form,
     counts_row,
     enumerate_groups,
     is_group,
@@ -97,6 +101,23 @@ def test_partition_recurrence(n):
         return sum(slow(n - k, k) for k in range(least, n + 1))
 
     assert partition_number(n) == slow(n, 1)
+
+
+def test_q_count_from_all_automorphisms():
+    """q(n) again from the isomorphism theorem: twisted Ward quasigroups over
+    G with automorphisms psi, psi' are isomorphic iff psi, psi' are conjugate,
+    so the distinct canonical forms over every (G, psi) number q(n)."""
+    for n in range(1, 10):
+        forms = set()
+        for g in enumerate_groups(n):
+            for psi in automorphism_group(g.table).elements:
+                forms.add(canonical_form(build_twq(TwqSpec(g, psi, 0))).rows)
+        assert len(forms) == q_count(n), n
+        # the constant is immaterial: x -> cx is an isomorphism onto the c-twist
+        g = enumerate_groups(n)[-1]
+        psi = max(automorphism_group(g.table).elements)
+        plain, twisted = (canonical_form(build_twq(TwqSpec(g, psi, c))) for c in (0, n - 1))
+        assert plain == twisted
 
 
 def test_counts_row():

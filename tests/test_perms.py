@@ -2,12 +2,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tward import CayleyTable, automorphism_group, closure, conjugacy_classes, is_regular
+from tward import (
+    CayleyTable,
+    automorphism_group,
+    closure,
+    conjugacy_classes,
+    dis_element_form,
+    is_regular,
+)
 from tward.errors import ClosureOverflowError, IdentityViolationError
 from tward.perms import (
     compose,
     cycle_type,
-    dis_element_form,
     format_perm,
     identity_perm,
     inverse,

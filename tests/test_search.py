@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -11,7 +12,7 @@ from tward import (
     twq_catalog_specs,
 )
 from tward import search
-from tward.errors import BudgetExceededError
+from tward.errors import BudgetExceededError, ConsistencyError
 from tward.perms import compose, cycle_type, inverse, min_conjugates
 from tward.tables import CayleyTable, is_self_canonical
 
@@ -136,6 +137,33 @@ def test_quasigroup_pipeline_cross_check():
     for t in reps:
         assert t.is_quasigroup
         assert check_identity(t, "twisted_ward")
+
+
+def test_catalog_merging_two_classes_raises(monkeypatch):
+    first, second = enumerate_tw_quasigroups(4, cross_check=False)[:2]
+    real = search.canonical_form
+
+    def merged(t):
+        c = real(t)
+        return first if c == second else c
+
+    monkeypatch.setattr(search, "canonical_form", merged)
+    with pytest.raises(ConsistencyError, match="catalog pipeline found 4 classes"):
+        enumerate_tw_quasigroups(4, cross_check=False)
+
+
+def test_search_dropping_a_quasigroup_raises(monkeypatch):
+    real = search.enumerate_tw_left_quasigroups
+
+    def drop_one(n, budget_seconds=None, threads=1):
+        report = real(n, budget_seconds, threads)
+        reps = list(report.representatives)
+        reps.remove(next(t for t in reps if t.is_quasigroup))
+        return dataclasses.replace(report, representatives=tuple(reps))
+
+    monkeypatch.setattr(search, "enumerate_tw_left_quasigroups", drop_one)
+    with pytest.raises(ConsistencyError, match="pipelines disagree"):
+        enumerate_tw_quasigroups(4, cross_check=True)
 
 
 def test_dichotomy_small():
