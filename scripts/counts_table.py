@@ -11,7 +11,7 @@ import sys
 
 from tward import counts_row
 from tward.errors import BudgetExceededError
-from tward.search import MAX_ENUM_ORDER
+from tward.search import DEFAULT_BUDGET, MAX_ENUM_ORDER
 
 
 def main() -> int:
@@ -19,7 +19,7 @@ def main() -> int:
     ap.add_argument("--max-n", type=int, default=9)
     ap.add_argument("--ell-max-n", type=int, default=7,
                     help="largest order for the exhaustive ell computation")
-    ap.add_argument("--budget", type=float, default=600.0,
+    ap.add_argument("--budget", type=float, default=DEFAULT_BUDGET,
                     help="time budget per enumerated order, seconds")
     args = ap.parse_args()
 

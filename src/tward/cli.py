@@ -7,7 +7,6 @@ starts with a machine-parsable line 'RESULT: <verdict>'.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -32,10 +31,6 @@ EXIT_BUDGET = 3
 
 def _read_table(path: str) -> tables.CayleyTable:
     return tables.CayleyTable.parse(Path(path).read_text())
-
-
-def _default_budget() -> float:
-    return float(os.environ.get("TWARD_BUDGET_SECONDS", search.DEFAULT_BUDGET))
 
 
 def cmd_check(args) -> int:
@@ -286,19 +281,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="counting functions q, p, or a full table row")
     p.add_argument("what", choices=["q", "p", "row"])
     p.add_argument("n", type=int)
-    p.add_argument("--budget", type=float, default=None)
+    p.add_argument("--budget", type=float, default=search.DEFAULT_BUDGET)
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("enumerate", help="enumerate twisted Ward left quasigroups of order N")
     p.add_argument("n", type=int)
-    p.add_argument("--budget", type=float, default=None)
+    p.add_argument("--budget", type=float, default=search.DEFAULT_BUDGET)
     p.add_argument("--out", help="directory for canonical table files")
     p.add_argument("--stats", action="store_true", help="print search node and leaf counts")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("dichotomy", help="prime-order dichotomy report")
     p.add_argument("p", type=int)
-    p.add_argument("--budget", type=float, default=None)
+    p.add_argument("--budget", type=float, default=search.DEFAULT_BUDGET)
     p.set_defaults(func=cmd_dichotomy)
 
     return parser
@@ -307,8 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "budget", "absent") is None:
-        args.budget = _default_budget()
     try:
         return args.func(args)
     except BudgetExceededError as exc:

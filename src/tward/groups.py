@@ -3,17 +3,18 @@ counting functions q(n) and p(n)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import StructureError
 from .perms import (
     Perm,
+    PermGroup,
     automorphism_group,
     compose,
     conjugacy_classes,
     identity_perm,
 )
-from .tables import CayleyTable, canonical_form, find_isomorphism
+from .tables import CayleyTable, find_isomorphism
 
 MAX_GROUP_ORDER = 12
 
@@ -54,6 +55,17 @@ class FiniteGroup:
 
     def to_text(self) -> str:
         return self.table.to_text(comments=["identity 0"])
+
+    @cached_property
+    def automorphisms(self) -> PermGroup:
+        """Aut(G), computed once per group object."""
+        return automorphism_group(self.table)
+
+    @cached_property
+    def automorphism_reps(self) -> tuple[Perm, ...]:
+        """The least member of each conjugacy class of Aut(G), in the order
+        of conjugacy_classes: one twisted Ward quasigroup class each."""
+        return tuple(c.representative for c in conjugacy_classes(self.automorphisms))
 
 
 def as_group(t: CayleyTable) -> FiniteGroup:
@@ -153,8 +165,7 @@ def enumerate_groups(n: int) -> tuple[FiniteGroup, ...]:
     found: list[FiniteGroup] = []
     for p in _primes_dividing(n):
         for h in enumerate_groups(n // p):
-            aut = automorphism_group(h.table)
-            for alpha in aut.sorted_elements():
+            for alpha in h.automorphisms.sorted_elements():
                 apow = alpha
                 for _ in range(p - 1):
                     apow = compose(alpha, apow)
@@ -166,20 +177,14 @@ def enumerate_groups(n: int) -> tuple[FiniteGroup, ...]:
                         find_isomorphism(g.table, other.table) for other in found
                     ):
                         found.append(g)
-    if n <= 8:
-        found.sort(key=lambda g: canonical_form(g.table).rows)
-    else:
-        found.sort(key=lambda g: g.table.rows)
+    found.sort(key=lambda g: g.table.rows)
     return tuple(found)
 
 
 def q_count(n: int) -> int:
     """Number of twisted Ward quasigroups of order n up to isomorphism:
     the sum of conjugacy-class counts of Aut(G) over groups G of order n."""
-    total = 0
-    for g in enumerate_groups(n):
-        total += len(conjugacy_classes(automorphism_group(g.table)))
-    return total
+    return sum(len(g.automorphism_reps) for g in enumerate_groups(n))
 
 
 def partition_number(n: int) -> int:

@@ -36,15 +36,7 @@ import numpy as np
 from .construct import TwqSpec, build_twq
 from .errors import BudgetExceededError, ConsistencyError
 from .groups import enumerate_groups, partition_number, q_count
-from .perms import (
-    Perm,
-    automorphism_group,
-    compose,
-    conjugacy_classes,
-    cycle_type,
-    inverse,
-    min_conjugates,
-)
+from .perms import Perm, compose, cycle_type, inverse, min_conjugates
 from .tables import CayleyTable, canonical_form, classify_structure, is_self_canonical
 
 MAX_ENUM_ORDER = 9
@@ -236,12 +228,11 @@ def twq_catalog_specs(n: int):
     """One TwqSpec per isomorphism class of twisted Ward quasigroups of order
     n: all groups of order n crossed with conjugacy-class representatives of
     their automorphism groups, constant 0."""
-    specs = []
-    for g in enumerate_groups(n):
-        aut = automorphism_group(g.table)
-        for cls in conjugacy_classes(aut):
-            specs.append(TwqSpec(group=g, psi=cls.representative, c=0))
-    return specs
+    return [
+        TwqSpec(group=g, psi=psi, c=0)
+        for g in enumerate_groups(n)
+        for psi in g.automorphism_reps
+    ]
 
 
 def enumerate_tw_quasigroups(

@@ -7,6 +7,7 @@ Everything here is immutable and safe to share.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
@@ -372,8 +373,14 @@ def cycle_type(p: Sequence[int]) -> tuple[int, ...]:
 @lru_cache(maxsize=4)
 def _perm_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
     """All permutations of degree n, one per row, and their inverses."""
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.uint8)
-    return perms, np.argsort(perms, axis=1).astype(np.uint8)
+    count = math.factorial(n)
+    flat = itertools.chain.from_iterable(itertools.permutations(range(n)))
+    perms = np.fromiter(flat, dtype=np.uint8, count=n * count).reshape(count, n)
+    invs = np.empty_like(perms)
+    rows = np.arange(count)
+    for j in range(n):
+        invs[rows, perms[:, j]] = j
+    return perms, invs
 
 
 def _least_entries(t: CayleyTable):

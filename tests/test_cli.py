@@ -212,6 +212,12 @@ def test_enumerate_bad_budget_and_threads(capsys):
     assert code == 2 and out.startswith("RESULT: error")
 
 
+def test_budget_environment_variable_is_ignored(capsys, monkeypatch):
+    monkeypatch.setenv("TWARD_BUDGET_SECONDS", "abc")
+    code, out = run(capsys, "enumerate", "3")
+    assert code == 0 and out.splitlines()[0] == "RESULT: 5"
+
+
 def test_enumerate_stats(capsys):
     code, out = run(capsys, "enumerate", "4", "--stats")
     lines = out.splitlines()

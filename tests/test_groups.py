@@ -120,6 +120,26 @@ def test_q_count_from_all_automorphisms():
         assert plain == twisted
 
 
+def test_one_automorphism_group_per_catalog_group(monkeypatch):
+    from tward import groups, search
+
+    calls = []
+    real = groups.automorphism_group
+
+    def counted(t):
+        calls.append(t)
+        return real(t)
+
+    monkeypatch.setattr(groups, "automorphism_group", counted)
+    enumerate_groups.cache_clear()
+    for n in range(1, 10):
+        q_count(n)
+        search.twq_catalog_specs(n)
+        search.twq_catalog_specs(n)
+        search.enumerate_tw_quasigroups(n, cross_check=False)
+    assert len(calls) == sum(CLASSICAL_GROUP_COUNTS[:9]) == 16
+
+
 def test_counts_row():
     row = counts_row(5, budget_seconds=120.0)
     assert (row.n, row.ell, row.q, row.p) == (5, 11, 4, 7)

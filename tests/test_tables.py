@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from tward import (
     table_isomorphic,
 )
 from tward.errors import IdentityViolationError, StructureError
-from tward.tables import IDENTITY_KINDS, find_all_isomorphisms, is_self_canonical
+from tward.tables import IDENTITY_KINDS, _perm_arrays, find_all_isomorphisms, is_self_canonical
 
 from conftest import all_left_quasigroups
 
@@ -311,6 +312,19 @@ def assert_canonical_agrees(t):
     c = brute_canonical_form(t)
     assert canonical_form(t) == c
     assert is_self_canonical(t) == (c == t)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_perm_arrays_hold_every_permutation_and_its_inverse(n):
+    perms, invs = _perm_arrays(n)
+    assert perms.shape == invs.shape == (math.factorial(n), n)
+    ident = np.arange(n)
+    assert (np.sort(perms, axis=1) == ident).all()
+    codes = perms.astype(np.int64) @ (n ** ident[::-1])
+    assert len(np.unique(codes)) == len(perms)
+    rows = np.arange(len(perms))[:, None]
+    assert (perms[rows, invs] == ident).all()
+    assert (invs[rows, perms] == ident).all()
 
 
 def test_canonical_form_matches_oracle_on_all_order3_left_quasigroups():
