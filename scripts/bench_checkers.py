@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""Per-call timings of the identity and braiding checkers.
+"""Per-call timings of the identity and braiding checkers and the braiding builders.
 
 Times ``check_identity`` for all seven kinds and the two halves of the
 ``is_braiding`` dual oracle (``_check_component_identities`` and
 ``_check_composed_maps``) at n = 4, 5 and 12, each on a table where the
 check holds (a full n^3 scan) and on a seeded random left quasigroup where
-it fails early.  It also times criterion 06 of the acceptance suite.
+it fails early.  At the same orders it times ``to_braiding`` and
+``induced_bullet`` for each braiding kind, and the validating
+``CayleyTable`` build of their input.  It also times criterion 06 of the
+acceptance suite.
 
 The numbers of one checkout are stored under a label in BENCH_checkers.json
 at the repo root, next to those of other labels, so two commits can be put
@@ -16,10 +19,13 @@ side by side:
     python3 scripts/bench_checkers.py --label change
 
 Each per-call time is the least of 5 repeats of a loop that runs at least
-0.2 s on a table built once, so what a table pays once (its validation, or
-division rows it caches) is not in these rows; the perfbench workloads
-measure that.  The verdicts and the number of triples read before the
-verdict are recorded too; they must agree between labels.
+0.2 s.  The checkers run on a table built once, so what a table pays once
+(its validation, or division rows it caches) is not in their rows.  Each
+builder call gets a freshly built input table, so its row includes that
+table's build (the ``CayleyTable`` row, to subtract) and its division rows.
+The verdicts, the number of triples read before the verdict and whether
+each built braiding solves the Yang-Baxter equation are recorded too; they
+must agree between labels.
 """
 import argparse
 import json
@@ -63,7 +69,7 @@ def triples_to_verdict(n, holds, witness):
 
 
 def measure(tw):
-    from tward.braidings import _check_component_identities, _check_composed_maps
+    from tward.braidings import BRAID_KINDS, _check_component_identities, _check_composed_maps
     from tward.tables import IDENTITY_KINDS
 
     holding = (  # the first of these on which a kind holds is its full-scan table
@@ -103,6 +109,18 @@ def measure(tw):
                 table=label, holds=_check_composed_maps(b), triples_to_verdict=None,
                 seconds=per_call_seconds(lambda: _check_composed_maps(b)),
             ))
+        label, built = "affine a=1 c=1", affine(n, 1, 1)
+        rows.append(dict(
+            function="CayleyTable", kind="validating build", n=n, case="fresh table", table=label,
+            holds=None, triples_to_verdict=None, seconds=per_call_seconds(lambda: tw.CayleyTable(built)),
+        ))
+        for build in (tw.to_braiding, tw.induced_bullet):
+            for kind in BRAID_KINDS:
+                rows.append(dict(
+                    function=build.__name__, kind=kind, n=n, case="fresh table", table=label,
+                    holds=tw.is_braiding(build(tw.CayleyTable(built), kind)), triples_to_verdict=None,
+                    seconds=per_call_seconds(lambda: build(tw.CayleyTable(built), kind)),
+                ))
     return rows
 
 

@@ -136,16 +136,29 @@ def properties(b: Braiding) -> BraidingProperties:
 
 def _with_bullet(circ: CayleyTable, ld, kind: str) -> Braiding:
     """Braiding with circle operation circ and the bullet of the kind, where
-    ld is the left division of circ: derived x, involutive (x o y) ld x,
-    idempotent (x o y) ld (x o y)."""
-    rows = enumerate(circ.rows)
+    circ is a left quasigroup and ld its left division: derived x, involutive
+    (x o y) ld x, idempotent (x o y) ld (x o y).
+
+    Each row of circ is a permutation, so the bullet is a left quasigroup
+    exactly when: derived, n = 1; involutive, each of its rows is a
+    permutation; idempotent, the map c -> c ld c is one."""
+    rows = circ.rows
+    n = len(rows)
     if kind == "derived":
-        bullet = tuple((x,) * len(row) for x, row in rows)
+        bullet = tuple((x,) * n for x in range(n))
+        lq = n == 1
     elif kind == "involutive":
-        bullet = tuple(tuple(ld[c][x] for c in row) for x, row in rows)
+        # row x reads column x of ld at the entries of row x of circ
+        bullet = tuple(tuple(map(col.__getitem__, row)) for col, row in zip(zip(*ld), rows))
+        lq = all(len(set(row)) == n for row in bullet)
     else:
-        bullet = tuple(tuple(ld[c][c] for c in row) for _, row in rows)
-    return Braiding(circ=circ, bullet=CayleyTable(bullet))
+        square = tuple(ld[c][c] for c in range(n))
+        bullet = tuple(tuple(map(square.__getitem__, row)) for row in rows)
+        lq = len(set(square)) == n
+    b = object.__new__(Braiding)  # both tables have n rows: skip __post_init__
+    object.__setattr__(b, "circ", circ)
+    object.__setattr__(b, "bullet", CayleyTable._derived(bullet, lq))
+    return b
 
 
 def to_braiding(t: CayleyTable, kind: str) -> Braiding:
@@ -158,14 +171,16 @@ def to_braiding(t: CayleyTable, kind: str) -> Braiding:
         raise ValueError(f"unknown braiding kind {kind!r}")
     if not t.is_left_quasigroup:
         raise StructureError("braiding construction requires a left quasigroup")
-    return _with_bullet(CayleyTable(t._ldiv_rows), t.rows, kind)
+    # the left division of the left division of t is t
+    circ = CayleyTable._derived(t._ldiv_rows, True, ldiv_rows=t.rows)
+    return _with_bullet(circ, t.rows, kind)
 
 
 def from_braiding(b: Braiding) -> CayleyTable:
     """Recover the left quasigroup x*y = x ldiv_circ y."""
     if not b.circ.is_left_quasigroup:
         raise StructureError("recovery requires a left nondegenerate braiding")
-    return CayleyTable.from_rows([list(b.circ._ldiv_rows[x]) for x in range(b.n)])
+    return CayleyTable._derived(b.circ._ldiv_rows, True)
 
 
 def induced_bullet(t_circ: CayleyTable, kind: str) -> Braiding:

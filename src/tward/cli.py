@@ -219,8 +219,18 @@ def cmd_dichotomy(args) -> int:
     return EXIT_FAIL
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors print the RESULT line first.
+    Subparsers are made with the class of their parent, so they share it."""
+
+    def error(self, message):
+        print(f"RESULT: error ({message})")
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tward",
         description="Finite left quasigroups, twisted Ward structures and Yang-Baxter maps.",
     )
@@ -306,6 +316,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except BudgetExceededError as exc:
         print(f"RESULT: budget-exceeded ({exc})")
+        if getattr(args, "stats", False):
+            print(f"nodes {exc.nodes} leaves {exc.leaves} completed {exc.completed}")
         return EXIT_BUDGET
     except (OSError, ValueError, StructureError, AlgebraError) as exc:
         print(f"RESULT: error ({exc})")

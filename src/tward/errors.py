@@ -30,8 +30,12 @@ class ConsistencyError(AlgebraError):
 
 class BudgetExceededError(AlgebraError):
     """An enumeration ran out of its time budget.  ``completed`` holds the
-    number of search subtrees finished before the deadline."""
+    number of search subtrees finished before the deadline; ``nodes`` and
+    ``leaves`` the search nodes and leaves visited by then, in the finished
+    subtrees and the interrupted one."""
 
-    def __init__(self, message: str, completed: int = 0):
+    def __init__(self, message: str, completed: int = 0, nodes: int = 0, leaves: int = 0):
         super().__init__(message)
         self.completed = completed
+        self.nodes = nodes
+        self.leaves = leaves

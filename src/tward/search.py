@@ -145,14 +145,16 @@ def _search_root(
         nonlocal nodes, leaves
         # polled on the first node, so a root never starts past the deadline
         if deadline is not None and nodes % 256 == 0 and time.monotonic() >= deadline:
-            raise BudgetExceededError(f"enumeration budget exceeded at order {n}")
+            raise BudgetExceededError(
+                f"enumeration budget exceeded at order {n}", nodes=nodes, leaves=leaves
+            )
         nodes += 1
         rows = list(rows)
         if not propagate(rows, [k]):
             return
         if None not in rows:
             leaves += 1
-            table = CayleyTable(tuple(rows))  # type: ignore[arg-type]
+            table = CayleyTable._derived(tuple(rows), True)  # type: ignore[arg-type]
             if is_self_canonical(table):
                 results.append(table.rows)
             return
@@ -175,7 +177,8 @@ def enumerate_tw_left_quasigroups(
     """All twisted Ward left quasigroups of order n up to isomorphism.
 
     Every root shares one absolute deadline, serially and across workers; a
-    BudgetExceededError reports the number of roots finished as completed.
+    BudgetExceededError reports the number of roots finished as completed, and
+    the nodes and leaves of those roots and of the interrupted one.
     """
     if not (1 <= n <= MAX_ENUM_ORDER):
         raise ValueError(f"enumeration supports 1 <= n <= {MAX_ENUM_ORDER}")
@@ -200,9 +203,12 @@ def enumerate_tw_left_quasigroups(
                 completed += 1
         except BudgetExceededError as exc:
             raise BudgetExceededError(
-                f"enumeration budget exceeded at order {n}", completed=completed
+                f"enumeration budget exceeded at order {n}",
+                completed=completed,
+                nodes=nodes + exc.nodes,
+                leaves=leaves + exc.leaves,
             ) from exc
-    tables = [CayleyTable(rows) for rows in sorted(set(all_rows))]
+    tables = [CayleyTable._derived(rows, True) for rows in sorted(set(all_rows))]
     perm = quasi = neither = 0
     for t in tables:
         flags = classify_structure(t)

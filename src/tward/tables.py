@@ -72,6 +72,24 @@ class CayleyTable:
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "CayleyTable":
         return cls(tuple(tuple(int(v) for v in row) for row in rows))
 
+    @classmethod
+    def _derived(
+        cls,
+        rows: tuple[tuple[int, ...], ...],
+        is_left_quasigroup: bool,
+        ldiv_rows: Optional[tuple[Optional[tuple[int, ...]], ...]] = None,
+    ) -> "CayleyTable":
+        """A table over rows computed from a validated table, built without
+        validation: the caller guarantees a square tuple of int tuples over
+        0..n-1 and gives is_left_quasigroup (and, when known, the division
+        rows) from the structure it derived them from."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "rows", rows)
+        object.__setattr__(t, "is_left_quasigroup", is_left_quasigroup)
+        if ldiv_rows is not None:
+            t.__dict__["_ldiv_rows"] = ldiv_rows
+        return t
+
     @property
     def n(self) -> int:
         return len(self.rows)
@@ -87,10 +105,12 @@ class CayleyTable:
 
     @cached_property
     def _ldiv_rows(self) -> tuple[Optional[tuple[int, ...]], ...]:
+        n = len(self.rows)
+        lq = self.is_left_quasigroup
         out = []
         for row in self.rows:
-            if len(set(row)) == self.n:
-                inv = [0] * self.n
+            if lq or len(set(row)) == n:
+                inv = [0] * n
                 for i, v in enumerate(row):
                     inv[v] = i
                 out.append(tuple(inv))
@@ -406,7 +426,8 @@ def canonical_form(t: CayleyTable) -> CayleyTable:
     """Lexicographically least table among all n! simultaneous relabelings."""
     entries = list(_least_entries(t))
     n = t.n
-    return CayleyTable(tuple(tuple(entries[i : i + n]) for i in range(0, n * n, n)))
+    rows = tuple(tuple(entries[i : i + n]) for i in range(0, n * n, n))
+    return CayleyTable._derived(rows, t.is_left_quasigroup)
 
 
 def is_self_canonical(t: CayleyTable) -> bool:

@@ -17,13 +17,15 @@ from tward import (
 from tward.braidings import BRAID_KINDS, _check_composed_maps, matching_identity
 from tward.errors import ConsistencyError, StructureError
 
+from conftest import all_left_quasigroups
 
-def small_left_quasigroups(max_n=4):
+
+def small_left_quasigroups(max_n=4, min_n=2):
     def rows(n):
         perm = st.permutations(range(n)).map(tuple)
         return st.tuples(*([perm] * n))
 
-    return st.integers(2, max_n).flatmap(rows).map(CayleyTable)
+    return st.integers(min_n, max_n).flatmap(rows).map(CayleyTable)
 
 
 def test_braiding_text_round_trip(table4):
@@ -131,6 +133,52 @@ def test_correspondence_property(t):
 def test_from_braiding_inverts_to_braiding(t):
     for kind in BRAID_KINDS:
         assert from_braiding(to_braiding(t, kind)) == t
+
+
+def _reference_braiding(circ, kind):
+    """The braiding with circle operation circ, built entry by entry from the
+    definitions through the validating constructor."""
+    n = circ.n
+    bullet = {
+        "derived": lambda x, y: x,
+        "involutive": lambda x, y: circ.ldiv(circ.op(x, y), x),
+        "idempotent": lambda x, y: circ.ldiv(circ.op(x, y), circ.op(x, y)),
+    }[kind]
+    rows = [[bullet(x, y) for y in range(n)] for x in range(n)]
+    return Braiding(circ=CayleyTable(circ.rows), bullet=CayleyTable.from_rows(rows))
+
+
+def assert_builders_match_reference(t):
+    """to_braiding and induced_bullet build their tables without validation;
+    each table must equal, and carry the same cached structure as, the table
+    validation builds from the same rows."""
+    division = CayleyTable.from_rows([[t.ldiv(x, y) for y in range(t.n)] for x in range(t.n)])
+    for kind in BRAID_KINDS:
+        for b, ref in (
+            (to_braiding(t, kind), _reference_braiding(division, kind)),
+            (induced_bullet(t, kind), _reference_braiding(t, kind)),
+        ):
+            assert b == ref
+            for got, want in ((b.circ, ref.circ), (b.bullet, ref.bullet)):
+                assert got.is_left_quasigroup == want.is_left_quasigroup
+                assert got._ldiv_rows == want._ldiv_rows
+                assert got.is_quasigroup == want.is_quasigroup
+            assert properties(b) == properties(ref)
+        back = from_braiding(to_braiding(t, kind))
+        assert back == t and back.is_left_quasigroup
+        assert back._ldiv_rows == division.rows
+
+
+def test_builders_match_reference_on_all_small_left_quasigroups():
+    for n in (1, 2, 3):  # 1 + 4 + 216 tables
+        for t in all_left_quasigroups(n):
+            assert_builders_match_reference(t)
+
+
+@given(small_left_quasigroups(max_n=6, min_n=1))
+@settings(max_examples=150, deadline=None)
+def test_builders_match_reference(t):
+    assert_builders_match_reference(t)
 
 
 def _reference_component_identities(b):

@@ -184,6 +184,26 @@ def test_budget_exit_code(capsys):
     assert out.startswith("RESULT: budget-exceeded")
 
 
+def test_budget_exceeded_stats(capsys):
+    code, out = run(capsys, "enumerate", "3", "--budget", "0", "--stats")
+    lines = out.splitlines()
+    assert code == 3 and lines[0].startswith("RESULT: budget-exceeded")
+    assert lines[1] == "nodes 0 leaves 0 completed 0"
+
+
+@pytest.mark.parametrize(
+    "argv", [["check"], ["bogusverb"], ["--threads", "x", "enumerate", "3"]]
+)
+def test_usage_errors_print_result(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert info.value.code == 2
+    assert captured.out.startswith("RESULT: error (")
+    assert captured.out.count("\n") == 1
+    assert captured.err.startswith("usage: tward")
+
+
 def test_recover_order_zero(capsys, tmp_path):
     path = tmp_path / "zero.tbl"
     path.write_text("0\n")

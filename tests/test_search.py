@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import types
 
 import pytest
 
@@ -191,6 +192,30 @@ def test_zero_budget_finishes_no_root(threads):
     with pytest.raises(BudgetExceededError) as info:
         enumerate_tw_left_quasigroups(3, budget_seconds=0, threads=threads)
     assert info.value.completed == 0
+    assert info.value.nodes == info.value.leaves == 0
+
+
+def test_budget_error_counts_partial_work(monkeypatch):
+    """With a clock that advances one tick per poll, the deadline falls on a
+    known poll: the error reports the nodes of the finished roots plus the
+    256 per poll passed in the interrupted root."""
+    n = 6
+    per_root = [search._search_root(n, root, None) for root in search._roots(n)]
+    for polls in (1, 5, 21, 30):  # root 0 polls 20 times, root 1 8 times
+        ticks = itertools.count()
+        monkeypatch.setattr(search, "time", types.SimpleNamespace(monotonic=lambda: next(ticks)))
+        with pytest.raises(BudgetExceededError) as info:
+            enumerate_tw_left_quasigroups(n, budget_seconds=polls)
+        # a root that visits k nodes polls at nodes 0, 256, ... below k
+        left, done = polls - 1, 0
+        while left >= -(-per_root[done][1] // 256):
+            left -= -(-per_root[done][1] // 256)
+            done += 1
+        exc = info.value
+        assert exc.completed == done
+        assert exc.nodes == sum(r[1] for r in per_root[:done]) + 256 * left
+        finished_leaves = sum(r[2] for r in per_root[:done])
+        assert finished_leaves <= exc.leaves <= finished_leaves + per_root[done][2]
 
 
 def test_budget_and_threads_validated():

@@ -266,11 +266,14 @@ def test_quadrangle_criterion(cyclic3):
 
 
 def test_canonical_form_properties(table4, table6):
-    for t in (table4, table6):
+    not_lq = CayleyTable.from_rows([[1, 1, 0], [2, 0, 1], [0, 0, 0]])
+    for t in (table4, table6, not_lq):
         c = canonical_form(t)
         assert table_isomorphic(c, t)
         assert is_self_canonical(c)
         assert c.rows <= t.rows
+        # built without validation: its flag must be the one validation gives
+        assert c.is_left_quasigroup == CayleyTable(c.rows).is_left_quasigroup
 
 
 @given(left_quasigroups(), st.data())
