@@ -10,24 +10,26 @@ it fails early.  At the same orders it times ``to_braiding`` and
 ``CayleyTable`` build of their input.  It also times criterion 06 of the
 acceptance suite.
 
-The numbers of one checkout are stored under a label in BENCH_checkers.json
-at the repo root, next to those of other labels, so two commits can be put
-side by side:
+Two checkouts are timed side by side in one process, each imported under
+its own package name, and the numbers go to BENCH_checkers.json at the repo
+root under the labels ``parent`` and ``change``:
 
     git archive <parent> | tar -x -C /tmp/parent
-    python3 scripts/bench_checkers.py --checkout /tmp/parent --label parent
-    python3 scripts/bench_checkers.py --label change
+    python3 scripts/bench_checkers.py --parent /tmp/parent
 
-Each per-call time is the least of 5 repeats of a loop that runs at least
-0.2 s.  The checkers run on a table built once, so what a table pays once
-(its validation, or division rows it caches) is not in their rows.  Each
-builder call gets a freshly built input table, so its row includes that
-table's build (the ``CayleyTable`` row, to subtract) and its division rows.
-The verdicts, the number of triples read before the verdict and whether
-each built braiding solves the Yang-Baxter equation are recorded too; they
-must agree between labels.
+Each per-call time is the least of 20 rounds; a round times a loop of at
+least 0.05 s of each checkout, the two in alternating order, so machine
+drift falls on both alike.  The checkers run on a table built once, so what a
+table pays once (its validation, or division rows it caches) is not in
+their rows.  Each builder call gets a freshly built input table, so its row
+includes that table's build (the ``CayleyTable`` row, to subtract) and its
+division rows.  Criterion 06 runs in a subprocess per checkout, alternating,
+five times each.  The verdicts, the number of triples read before the
+verdict and whether each built braiding solves the Yang-Baxter equation are
+recorded too; the script stops if they differ between the checkouts.
 """
 import argparse
+import importlib.util
 import json
 import os
 import platform
@@ -58,29 +60,48 @@ def random_left_quasigroup(n):
     return tuple(tuple(rng.sample(range(n), n)) for _ in range(n))
 
 
-def per_call_seconds(call):
-    timer = timeit.Timer(call)
-    number, _ = timer.autorange()  # a loop of at least 0.2 s
-    return min(timer.repeat(5, number)) / number
+def load(checkout, name):
+    """Import the tward package of a checkout under the module name given."""
+    init = checkout / "src" / "tward" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(name, init, submodule_search_locations=[str(init.parent)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def interleaved_seconds(calls):
+    """Per-call seconds of each call (label -> callable), the least of 20
+    rounds that time a loop of every call once, in alternating order."""
+    timers = {label: timeit.Timer(call) for label, call in calls.items()}
+    # autorange finds a loop of at least 0.2 s; a round runs a quarter of it
+    numbers = {label: max(1, timer.autorange()[0] // 4) for label, timer in timers.items()}
+    best = dict.fromkeys(calls, float("inf"))
+    labels = list(calls)
+    for i in range(20):
+        for label in labels[:: 1 - 2 * (i % 2)]:
+            best[label] = min(best[label], timers[label].timeit(numbers[label]) / numbers[label])
+    return best
 
 
 def triples_to_verdict(n, holds, witness):
     return n**3 if holds else (witness[0] * n + witness[1]) * n + witness[2] + 1
 
 
-def measure(tw):
-    from tward.braidings import BRAID_KINDS, _check_component_identities, _check_composed_maps
-    from tward.tables import IDENTITY_KINDS
+def cases(tw):
+    """The rows timed for one checkout's package tw, each with its call."""
+    _check_component_identities = tw.braidings._check_component_identities
+    _check_composed_maps = tw.braidings._check_composed_maps
 
     holding = (  # the first of these on which a kind holds is its full-scan table
         ("affine a=1 c=1", lambda n: affine(n, 1, 1)),
         ("affine a=-1 c=1", lambda n: affine(n, -1, 1)),
         ("permutational y+1", permutational),
     )
-    rows = []
+    rows = []  # each call takes its inputs as defaults: it runs after the loops move on
     for n in ORDERS:
         fails = tw.CayleyTable(random_left_quasigroup(n))
-        for kind in IDENTITY_KINDS:
+        for kind in tw.tables.IDENTITY_KINDS:
             name, t = next(
                 (name, t)
                 for name, build in holding
@@ -92,7 +113,7 @@ def measure(tw):
                 rows.append(dict(
                     function="check_identity", kind=kind, n=n, case=case, table=label, holds=holds,
                     triples_to_verdict=triples_to_verdict(n, holds, wit),
-                    seconds=per_call_seconds(lambda: tw.check_identity(table, kind)),
+                    call=lambda table=table, kind=kind: tw.check_identity(table, kind),
                 ))
         for case, table, label in (("holds", tw.CayleyTable(affine(n, 1, 1)), "affine a=1 c=1"),
                                    ("fails", fails, "random")):
@@ -102,24 +123,24 @@ def measure(tw):
                 function="_check_component_identities", kind="idempotent braiding", n=n, case=case,
                 table=label, holds=holds,
                 triples_to_verdict=triples_to_verdict(n, holds, wit and wit[1]),
-                seconds=per_call_seconds(lambda: _check_component_identities(b, False)),
+                call=lambda b=b: _check_component_identities(b, False),
             ))
             rows.append(dict(
                 function="_check_composed_maps", kind="idempotent braiding", n=n, case=case,
                 table=label, holds=_check_composed_maps(b), triples_to_verdict=None,
-                seconds=per_call_seconds(lambda: _check_composed_maps(b)),
+                call=lambda b=b: _check_composed_maps(b),
             ))
         label, built = "affine a=1 c=1", affine(n, 1, 1)
         rows.append(dict(
             function="CayleyTable", kind="validating build", n=n, case="fresh table", table=label,
-            holds=None, triples_to_verdict=None, seconds=per_call_seconds(lambda: tw.CayleyTable(built)),
+            holds=None, triples_to_verdict=None, call=lambda built=built: tw.CayleyTable(built),
         ))
         for build in (tw.to_braiding, tw.induced_bullet):
-            for kind in BRAID_KINDS:
+            for kind in tw.braidings.BRAID_KINDS:
                 rows.append(dict(
                     function=build.__name__, kind=kind, n=n, case="fresh table", table=label,
                     holds=tw.is_braiding(build(tw.CayleyTable(built), kind)), triples_to_verdict=None,
-                    seconds=per_call_seconds(lambda: build(tw.CayleyTable(built), kind)),
+                    call=lambda build=build, kind=kind, built=built: build(tw.CayleyTable(built), kind),
                 ))
     return rows
 
@@ -136,39 +157,38 @@ def criterion_06_seconds(checkout):
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--checkout", type=Path, default=REPO, help="checkout whose src/ is measured")
-    ap.add_argument("--label", default="current", help="name of the column the numbers go to")
+    ap.add_argument("--parent", type=Path, required=True, help="checkout timed under the label parent")
+    ap.add_argument("--change", type=Path, default=REPO, help="checkout timed under the label change")
     ap.add_argument("--out", type=Path, default=REPO / "BENCH_checkers.json")
     args = ap.parse_args()
-    checkout = args.checkout.resolve()
-    sys.path.insert(0, str(checkout / "src"))
-    import tward
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    packages = {label: load(path, f"tward_{label}") for label, path in checkouts.items()}
 
-    if not Path(tward.__file__).resolve().is_relative_to(checkout):
-        raise SystemExit(f"imported {tward.__file__}, not the checkout's tward")
-    rows = measure(tward)
-    crit = criterion_06_seconds(checkout)
+    rows = []
+    for pair in zip(*(cases(tw) for tw in packages.values())):
+        first = {k: v for k, v in pair[0].items() if k != "call"}
+        for other in pair[1:]:
+            if {k: v for k, v in other.items() if k != "call"} != first:
+                raise SystemExit(f"the checkouts disagree: {first} against {other}")
+        seconds = interleaved_seconds(dict(zip(packages, (r["call"] for r in pair))))
+        rows.append(first | {"seconds_per_call": {k: float(f"{v:.3g}") for k, v in seconds.items()}})
+        print(f"{first['function']:28s} {first['kind']:20s} n={first['n']:<2d} {first['case']:11s}",
+              "  ".join(f"{k} {v * 1e6:9.2f} us" for k, v in seconds.items()), flush=True)
 
-    data = json.loads(args.out.read_text()) if args.out.exists() else {}
+    crit = {label: [] for label in checkouts}
+    for i in range(5):
+        for label in list(checkouts)[:: 1 - 2 * (i % 2)]:
+            crit[label].append(round(criterion_06_seconds(checkouts[label]), 2))
+    print("criterion 06 s:", crit)
+
     paragraphs = __doc__.split("\n\n")
-    data["description"] = " ".join(paragraphs[i].replace("\n", " ") for i in (0, 1, -1))
-    data.setdefault("machine", {}).update(
-        python=platform.python_version(), cpus=os.cpu_count(), platform=platform.platform()
+    data = dict(
+        description=" ".join(paragraphs[i].strip().replace("\n", " ") for i in (0, 1, -1)),
+        machine=dict(python=platform.python_version(), cpus=os.cpu_count(), platform=platform.platform()),
+        criterion_06_wall_s=crit,
+        rows=rows,
     )
-    data.setdefault("criterion_06_wall_s", {})[args.label] = round(crit, 2)
-    table = {(r["function"], r["kind"], r["n"], r["case"]): r for r in data.get("rows", [])}
-    for r in rows:
-        key = (r["function"], r["kind"], r["n"], r["case"])
-        old = table.setdefault(key, {k: v for k, v in r.items() if k != "seconds"} | {"seconds_per_call": {}})
-        for field in ("table", "holds", "triples_to_verdict"):
-            if old[field] != r[field]:
-                raise SystemExit(f"{key}: {field} is {r[field]!r} here, {old[field]!r} in {args.out}")
-        old["seconds_per_call"][args.label] = float(f"{r['seconds']:.3g}")
-    data["rows"] = list(table.values())
     args.out.write_text(json.dumps(data, indent=1) + "\n")
-    print(f"{args.label}: criterion 06 {crit:.1f} s; {len(rows)} rows written to {args.out}")
-    for r in rows:
-        print(f"{r['function']:28s} {r['kind']:20s} n={r['n']:<2d} {r['case']:5s} {r['seconds'] * 1e6:10.2f} us")
     return 0
 
 

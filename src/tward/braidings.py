@@ -137,28 +137,21 @@ def properties(b: Braiding) -> BraidingProperties:
 def _with_bullet(circ: CayleyTable, ld, kind: str) -> Braiding:
     """Braiding with circle operation circ and the bullet of the kind, where
     circ is a left quasigroup and ld its left division: derived x, involutive
-    (x o y) ld x, idempotent (x o y) ld (x o y).
-
-    Each row of circ is a permutation, so the bullet is a left quasigroup
-    exactly when: derived, n = 1; involutive, each of its rows is a
-    permutation; idempotent, the map c -> c ld c is one."""
+    (x o y) ld x, idempotent (x o y) ld (x o y)."""
     rows = circ.rows
     n = len(rows)
     if kind == "derived":
         bullet = tuple((x,) * n for x in range(n))
-        lq = n == 1
-    elif kind == "involutive":
+        # a constant row is a permutation only when n <= 1
+        return Braiding(circ=circ, bullet=CayleyTable._derived(bullet, n <= 1))
+    if kind == "involutive":
         # row x reads column x of ld at the entries of row x of circ
         bullet = tuple(tuple(map(col.__getitem__, row)) for col, row in zip(zip(*ld), rows))
-        lq = all(len(set(row)) == n for row in bullet)
     else:
         square = tuple(ld[c][c] for c in range(n))
         bullet = tuple(tuple(map(square.__getitem__, row)) for row in rows)
-        lq = len(set(square)) == n
-    b = object.__new__(Braiding)  # both tables have n rows: skip __post_init__
-    object.__setattr__(b, "circ", circ)
-    object.__setattr__(b, "bullet", CayleyTable._derived(bullet, lq))
-    return b
+    lq = all(len(set(row)) == n for row in bullet)
+    return Braiding(circ=circ, bullet=CayleyTable._derived(bullet, lq))
 
 
 def to_braiding(t: CayleyTable, kind: str) -> Braiding:
@@ -171,9 +164,7 @@ def to_braiding(t: CayleyTable, kind: str) -> Braiding:
         raise ValueError(f"unknown braiding kind {kind!r}")
     if not t.is_left_quasigroup:
         raise StructureError("braiding construction requires a left quasigroup")
-    # the left division of the left division of t is t
-    circ = CayleyTable._derived(t._ldiv_rows, True, ldiv_rows=t.rows)
-    return _with_bullet(circ, t.rows, kind)
+    return _with_bullet(CayleyTable._derived(t._ldiv_rows, True), t.rows, kind)
 
 
 def from_braiding(b: Braiding) -> CayleyTable:

@@ -73,21 +73,14 @@ class CayleyTable:
         return cls(tuple(tuple(int(v) for v in row) for row in rows))
 
     @classmethod
-    def _derived(
-        cls,
-        rows: tuple[tuple[int, ...], ...],
-        is_left_quasigroup: bool,
-        ldiv_rows: Optional[tuple[Optional[tuple[int, ...]], ...]] = None,
-    ) -> "CayleyTable":
+    def _derived(cls, rows: tuple[tuple[int, ...], ...], is_left_quasigroup: bool) -> "CayleyTable":
         """A table over rows computed from a validated table, built without
         validation: the caller guarantees a square tuple of int tuples over
-        0..n-1 and gives is_left_quasigroup (and, when known, the division
-        rows) from the structure it derived them from."""
+        0..n-1 and gives is_left_quasigroup from the structure it derived
+        them from."""
         t = object.__new__(cls)
         object.__setattr__(t, "rows", rows)
         object.__setattr__(t, "is_left_quasigroup", is_left_quasigroup)
-        if ldiv_rows is not None:
-            t.__dict__["_ldiv_rows"] = ldiv_rows
         return t
 
     @property

@@ -167,10 +167,14 @@ def assert_builders_match_reference(t):
         back = from_braiding(to_braiding(t, kind))
         assert back == t and back.is_left_quasigroup
         assert back._ldiv_rows == division.rows
+        # a table given list rows comes back as a hashable table of int tuples
+        back = from_braiding(to_braiding(CayleyTable([list(row) for row in t.rows]), kind))
+        assert back == t and hash(back) == hash(t)
+        assert all(type(row) is tuple and all(type(v) is int for v in row) for row in back.rows)
 
 
 def test_builders_match_reference_on_all_small_left_quasigroups():
-    for n in (1, 2, 3):  # 1 + 4 + 216 tables
+    for n in (0, 1, 2, 3):  # 1 + 1 + 4 + 216 tables
         for t in all_left_quasigroups(n):
             assert_builders_match_reference(t)
 
