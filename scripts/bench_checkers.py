@@ -7,7 +7,11 @@ Times ``check_identity`` for all seven kinds and the two halves of the
 check holds (a full n^3 scan) and on a seeded random left quasigroup where
 it fails early.  At the same orders it times ``to_braiding`` and
 ``induced_bullet`` for each braiding kind, and the validating
-``CayleyTable`` build of their input.  It also times criterion 06 of the
+``CayleyTable`` build of their input.  In the catalog layer it times
+``canonical_form`` on the catalog tables of orders 8 and 9,
+``twq_spec_isomorphic`` over all ordered pairs of catalog specs of order 8,
+and ``_perm_arrays(9)`` with its cache cleared; a row that makes several
+calls gives the seconds per call.  It also times criterion 06 of the
 acceptance suite.
 
 Two checkouts are timed side by side in one process, each imported under
@@ -26,9 +30,11 @@ includes that table's build (the ``CayleyTable`` row, to subtract) and its
 division rows.  Criterion 06 runs in a subprocess per checkout, alternating,
 five times each.  The verdicts, the number of triples read before the
 verdict and whether each built braiding solves the Yang-Baxter equation are
-recorded too; the script stops if they differ between the checkouts.
+recorded too, and a digest of the catalog rows' outputs; the script stops
+if they differ between the checkouts.
 """
 import argparse
+import hashlib
 import importlib.util
 import json
 import os
@@ -39,6 +45,8 @@ import sys
 import time
 import timeit
 from pathlib import Path
+
+import numpy as np
 
 REPO = Path(__file__).resolve().parent.parent
 ORDERS = (4, 5, 12)
@@ -142,6 +150,50 @@ def cases(tw):
                     holds=tw.is_braiding(build(tw.CayleyTable(built), kind)), triples_to_verdict=None,
                     call=lambda build=build, kind=kind, built=built: build(tw.CayleyTable(built), kind),
                 ))
+    return rows + catalog_cases(tw)
+
+
+def digest(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+def perm_arrays_digest(perms, invs):
+    """Digest of the set of rows of perms, and whether each row of perms is
+    the inverse of the row of invs beside it (the row order may differ)."""
+    rows = np.arange(len(perms))[:, None]
+    inverse = bool((perms[rows, invs] == np.arange(perms.shape[1])).all())
+    return digest((np.unique(perms, axis=0).tobytes(), inverse))
+
+
+def catalog_cases(tw):
+    """Rows of the catalog layer: canonical forms, spec isomorphism and the
+    permutation arrays of the canonical-form filter."""
+    perm_arrays = tw.tables._perm_arrays
+    rows = []
+    for n in (8, 9):
+        tables = [tw.build_twq(s) for s in tw.twq_catalog_specs(n)]
+        rows.append(dict(
+            function="canonical_form", kind="catalog tables", n=n, case=f"{len(tables)} tables",
+            table="build_twq", holds=None, triples_to_verdict=None, calls=len(tables),
+            output=digest([tw.canonical_form(t).rows for t in tables]),
+            call=lambda tables=tables: [tw.canonical_form(t) for t in tables],
+        ))
+    specs = tw.twq_catalog_specs(8)
+
+    def matrix():
+        return [[tw.twq_spec_isomorphic(a, b) for b in specs] for a in specs]
+
+    rows.append(dict(
+        function="twq_spec_isomorphic", kind="catalog pairs", n=8, case=f"{len(specs) ** 2} pairs",
+        table="catalog specs", holds=None, triples_to_verdict=None, calls=len(specs) ** 2,
+        output=digest(matrix()), call=matrix,
+    ))
+    rows.append(dict(
+        function="_perm_arrays", kind="cache cleared", n=9, case="fresh arrays", table="-",
+        holds=None, triples_to_verdict=None, calls=1,
+        output=perm_arrays_digest(*perm_arrays(9)),
+        call=lambda: (perm_arrays.cache_clear(), perm_arrays(9)),
+    ))
     return rows
 
 
@@ -171,6 +223,7 @@ def main() -> int:
             if {k: v for k, v in other.items() if k != "call"} != first:
                 raise SystemExit(f"the checkouts disagree: {first} against {other}")
         seconds = interleaved_seconds(dict(zip(packages, (r["call"] for r in pair))))
+        seconds = {k: v / first.get("calls", 1) for k, v in seconds.items()}
         rows.append(first | {"seconds_per_call": {k: float(f"{v:.3g}") for k, v in seconds.items()}})
         print(f"{first['function']:28s} {first['kind']:20s} n={first['n']:<2d} {first['case']:11s}",
               "  ".join(f"{k} {v * 1e6:9.2f} us" for k, v in seconds.items()), flush=True)

@@ -20,7 +20,7 @@ from .tables import (
     CayleyTable,
     cayley_kernel,
     check_identity,
-    find_all_isomorphisms,
+    find_isomorphism,
     squaring_map,
     table_isomorphic,
 )
@@ -257,11 +257,20 @@ def recover_structure(t: CayleyTable) -> TwqSpec:
 
 def twq_spec_isomorphic(s1: TwqSpec, s2: TwqSpec) -> bool:
     """True iff some group isomorphism transports psi1 to psi2; the constants
-    are immaterial (x -> cx is always an isomorphism onto the c-twist)."""
+    are immaterial (x -> cx is always an isomorphism onto the c-twist).
+
+    Every isomorphism G1 -> G2 is theta0 o alpha with theta0 one of them and
+    alpha in Aut(G1), so one isomorphism search and the cached Aut(G1) give
+    them all.
+    """
     if s1.group.n != s2.group.n:
         return False
+    theta0 = find_isomorphism(s1.group.table, s2.group.table)
+    if theta0 is None:
+        return False
     psi1, psi2 = s1.psi, s2.psi
-    for theta in find_all_isomorphisms(s1.group.table, s2.group.table):
+    for alpha in s1.group.automorphisms.elements:
+        theta = compose(theta0, alpha)
         if compose(theta, psi1) == compose(psi2, theta):
             return True
     return False

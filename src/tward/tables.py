@@ -7,7 +7,6 @@ Everything here is immutable and safe to share.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
@@ -51,12 +50,18 @@ class CayleyTable:
     is_left_quasigroup: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = len(self.rows)
+        rows = self.rows
+        n = len(rows)
         carrier = _carrier(n)
         lq = True
-        for row in self.rows:
+        # rows other than a tuple of int tuples (lists, an ndarray, numpy integers) are
+        # stored converted, so that every table hashes and compares by its entries
+        exact = type(rows) is tuple
+        for row in rows:
             if len(row) != n:
                 raise ValueError("table is not square")
+            if type(row) is not tuple:
+                exact = False
             try:
                 s = set(row)
                 # sum() of Python ints is an int; a float, Fraction or numpy entry changes its type
@@ -65,7 +70,10 @@ class CayleyTable:
                 ints = False
             if not ints:
                 _check_row(row, n)
+                exact = False
             lq = lq and len(s) == n
+        if not exact:
+            object.__setattr__(self, "rows", tuple(tuple(int(v) for v in row) for row in rows))
         object.__setattr__(self, "is_left_quasigroup", lq)
 
     @classmethod
@@ -361,9 +369,10 @@ def quadrangle_criterion(t: CayleyTable) -> bool:
 #
 # The canonical form of t is the row-major lexicographically least table
 # among all n! simultaneous relabelings of t.  _least_entries finds it with
-# one filter: it starts from every relabeling and, entry by entry in
-# row-major order, keeps only the relabelings whose entry there is least.
-# Isomorphisms are found by a separate backtracking search over images.
+# one filter: it starts from the relabelings that give the least entry (0, 0),
+# found in closed form, and, entry by entry in row-major order, keeps only
+# the relabelings whose entry there is least.  Isomorphisms are found by a
+# separate backtracking search over images.
 # ---------------------------------------------------------------------------
 
 
@@ -385,14 +394,30 @@ def cycle_type(p: Sequence[int]) -> tuple[int, ...]:
 
 @lru_cache(maxsize=4)
 def _perm_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """All permutations of degree n, one per row, and their inverses."""
-    count = math.factorial(n)
-    flat = itertools.chain.from_iterable(itertools.permutations(range(n)))
-    perms = np.fromiter(flat, dtype=np.uint8, count=n * count).reshape(count, n)
-    invs = np.empty_like(perms)
-    rows = np.arange(count)
-    for j in range(n):
-        invs[rows, perms[:, j]] = j
+    """All permutations of degree n, one per row, and their inverses.
+
+    invs lists the permutations in lexicographic order and perms[r] is the
+    inverse of invs[r], so the rows with a given pi^-1(0), and with a given
+    pair (pi^-1(0), pi^-1(1)), are contiguous.  Degree k is built from
+    degree k - 1 one block per first entry f: a lexicographic row is f
+    followed by a degree k - 1 row with the entries from f up shifted by
+    one, and its inverse is the degree k - 1 inverse plus one, with 0
+    inserted at position f.
+    """
+    invs = perms = np.zeros((1, 0), dtype=np.uint8)
+    for k in range(1, n + 1):
+        m = len(invs)
+        lex = np.empty((k * m, k), dtype=np.uint8)
+        inv = np.empty_like(lex)
+        shifted = perms + 1
+        for f in range(k):
+            block = slice(f * m, (f + 1) * m)
+            lex[block, 0] = f
+            lex[block, 1:] = invs + (invs >= f)
+            inv[block, :f] = shifted[:, :f]
+            inv[block, f] = 0
+            inv[block, f + 1 :] = shifted[:, f:]
+        invs, perms = lex, inv
     return perms, invs
 
 
@@ -401,25 +426,38 @@ def _least_entries(t: CayleyTable):
 
     Entry (i, j) of the relabeling by pi is pi(t[pi^-1(i)][pi^-1(j)]).  The
     relabelings that survive each entry are those whose prefix is least, so
-    the identity survives for as long as t's own prefix is least.
+    the identity survives for as long as t's own prefix is least.  Entry
+    (0, 0) is pi(t[a][a]) with a = pi^-1(0): it is 0 where a is idempotent,
+    and otherwise at least 1, reached where pi^-1(1) = t[a][a].  Either way
+    its survivors are blocks of _perm_arrays' rows.
     """
     n = t.n
+    if n == 0:
+        return
     perms, invs = _perm_arrays(n)
+    diagonal = [t.rows[a][a] for a in range(n)]
+    idempotents = [a for a, b in enumerate(diagonal) if a == b]
+    if idempotents:
+        least, size, blocks = 0, len(perms) // n, idempotents
+    else:  # n >= 2; the block of (a, b) is number b - (b > a) of the n - 1 within block a
+        least, size = 1, len(perms) // (n * (n - 1))
+        blocks = [a * (n - 1) + b - (b > a) for a, b in enumerate(diagonal)]
+    keep = (np.array(blocks)[:, None] * size + np.arange(size)).ravel()
+    yield least
     T = np.array(t.rows, dtype=np.uint8)
-    keep = np.arange(len(perms))
-    for i in range(n):
-        for j in range(n):
-            vals = perms[keep, T[invs[keep, i], invs[keep, j]]]
-            least = vals.min()
-            keep = keep[vals == least]
-            yield int(least)
+    for k in range(1, n * n):
+        i, j = divmod(k, n)
+        vals = perms[keep, T[invs[keep, i], invs[keep, j]]]
+        least = vals.min()
+        keep = keep[vals == least]
+        yield int(least)
 
 
 def canonical_form(t: CayleyTable) -> CayleyTable:
     """Lexicographically least table among all n! simultaneous relabelings."""
     entries = list(_least_entries(t))
     n = t.n
-    rows = tuple(tuple(entries[i : i + n]) for i in range(0, n * n, n))
+    rows = tuple(tuple(entries[i * n : (i + 1) * n]) for i in range(n))
     return CayleyTable._derived(rows, t.is_left_quasigroup)
 
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +22,9 @@ from tward import (
 from tward.construct import BlockRejectionError
 from tward.errors import IdentityViolationError
 from tward.groups import enumerate_groups
-from tward.perms import identity_perm
+from tward.perms import compose, identity_perm
+from tward.search import twq_catalog_specs
+from tward.tables import find_all_isomorphisms
 
 
 def _cyclic_group(n):
@@ -176,3 +180,58 @@ def test_catalog_tables_are_twisted_ward_quasigroups(n, data):
     t = build_twq(TwqSpec(group=g, psi=psi, c=c))
     assert t.is_quasigroup
     assert check_identity(t, "twisted_ward")
+
+
+def _reference_spec_isomorphic(s1, s2):
+    """Spec isomorphism by enumerating every group isomorphism G1 -> G2."""
+    if s1.group.n != s2.group.n:
+        return False
+    for theta in find_all_isomorphisms(s1.group.table, s2.group.table):
+        if compose(theta, s1.psi) == compose(s2.psi, theta):
+            return True
+    return False
+
+
+def _assert_spec_isomorphism_agrees(firsts, seconds):
+    for a in firsts:
+        for b in seconds:
+            assert twq_spec_isomorphic(a, b) == _reference_spec_isomorphic(a, b)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_spec_isomorphism_matches_reference_on_catalog_pairs(n):
+    specs = twq_catalog_specs(n)
+    _assert_spec_isomorphism_agrees(specs, specs)
+    # the catalog holds one spec per class
+    assert [[twq_spec_isomorphic(a, b) for b in specs] for a in specs] == [
+        [a is b for b in specs] for a in specs
+    ]
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_spec_isomorphism_matches_reference_on_recovered_groups(n):
+    """Specs recovered from relabeled tables hold new group objects, with
+    tables other than the catalog's, whose automorphisms are not cached yet."""
+    rng = random.Random(f"recovered-{n}")
+    specs = twq_catalog_specs(n)
+    recovered = []
+    for s in specs:
+        pi = list(range(n))
+        rng.shuffle(pi)
+        recovered.append(recover_structure(build_twq(s).relabel(pi)))
+    if n >= 4:  # below 4 every group of order n has one table with identity 0
+        assert any(r.group.table != s.group.table for r, s in zip(recovered, specs))
+    _assert_spec_isomorphism_agrees(recovered, specs)
+    _assert_spec_isomorphism_agrees(specs, recovered)
+    for i, r in enumerate(recovered):
+        assert [twq_spec_isomorphic(r, s) for s in specs] == [j == i for j in range(len(specs))]
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_spec_isomorphism_over_non_isomorphic_groups(n):
+    specs = twq_catalog_specs(n)
+    pairs = [(a, b) for a in specs for b in specs if a.group is not b.group]
+    assert pairs
+    for a, b in pairs:
+        assert not twq_spec_isomorphic(a, b)
+        assert not _reference_spec_isomorphic(a, b)

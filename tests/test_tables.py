@@ -20,7 +20,9 @@ from tward import (
     squaring_map,
     table_isomorphic,
 )
+from tward.construct import build_twq
 from tward.errors import IdentityViolationError, StructureError
+from tward.search import twq_catalog_specs
 from tward.tables import IDENTITY_KINDS, _perm_arrays, find_all_isomorphisms, is_self_canonical
 
 from conftest import all_left_quasigroups
@@ -81,6 +83,30 @@ def test_numpy_integer_entries_accepted():
     assert CayleyTable.from_rows(rows) == CayleyTable(((1, 0), (1, 0)))
     t = CayleyTable(tuple(tuple(r) for r in rows))
     assert t.is_left_quasigroup and check_identity(t, "rack")
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0, 1], [1, 0]],
+        np.array([[0, 1], [1, 0]], dtype=np.uint8),
+        tuple(tuple(r) for r in np.array([[0, 1], [1, 0]], dtype=np.int64)),
+        ([0, 1], (1, 0)),
+    ],
+    ids=["list-rows", "ndarray", "numpy-int-tuples", "mixed-rows"],
+)
+def test_rows_other_than_int_tuples_are_stored_as_int_tuples(rows):
+    t = CayleyTable(rows)
+    assert t == CayleyTable.from_rows(rows) == CayleyTable(((0, 1), (1, 0)))
+    assert hash(t) == hash(CayleyTable.from_rows(rows))
+    assert type(t.rows) is tuple and all(type(r) is tuple for r in t.rows)
+    assert all(type(v) is int for r in t.rows for v in r)
+    assert t.is_quasigroup
+
+
+def test_int_tuple_rows_are_kept_as_given():
+    rows = ((0, 1), (1, 0))
+    assert CayleyTable(rows).rows is rows
 
 
 def test_left_quasigroup_flag_needs_no_division_rows():
@@ -358,3 +384,85 @@ def test_canonical_form_matches_oracle_on_representatives(enum_reports):
     for n in range(1, 7):
         for t in enum_reports(n).representatives:
             assert_canonical_agrees(t)
+
+
+def _reference_perm_arrays(n):
+    """All permutations of degree n in itertools order, and their inverses."""
+    count = math.factorial(n)
+    flat = itertools.chain.from_iterable(itertools.permutations(range(n)))
+    perms = np.fromiter(flat, dtype=np.uint8, count=n * count).reshape(count, n)
+    invs = np.empty_like(perms)
+    rows = np.arange(count)
+    for j in range(n):
+        invs[rows, perms[:, j]] = j
+    return perms, invs
+
+
+def _reference_least_entries(t):
+    """The entries of the canonical form, filtered from all n! relabelings
+    starting at entry (0, 0)."""
+    n = t.n
+    perms, invs = _reference_perm_arrays(n)
+    T = np.array(t.rows, dtype=np.uint8)
+    keep = np.arange(len(perms))
+    for i in range(n):
+        for j in range(n):
+            vals = perms[keep, T[invs[keep, i], invs[keep, j]]]
+            least = vals.min()
+            keep = keep[vals == least]
+            yield int(least)
+
+
+def assert_canonical_matches_reference_filter(t):
+    entries = list(_reference_least_entries(t))
+    n = t.n
+    assert canonical_form(t).rows == tuple(tuple(entries[i * n : (i + 1) * n]) for i in range(n))
+    own = [v for row in t.rows for v in row]
+    assert is_self_canonical(t) == (entries == own)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_perm_arrays_are_the_reference_arrays_swapped(n):
+    perms, invs = _perm_arrays(n)
+    ref_perms, ref_invs = _reference_perm_arrays(n)
+    assert invs.dtype == perms.dtype == np.uint8
+    assert invs.tobytes() == ref_perms.tobytes() and invs.shape == ref_perms.shape
+    assert perms.tobytes() == ref_invs.tobytes() and perms.shape == ref_invs.shape
+
+
+def test_canonical_form_of_orders_0_and_1():
+    empty = CayleyTable(())
+    assert canonical_form(empty) == empty and canonical_form(empty).rows == ()
+    assert is_self_canonical(empty)
+    one = CayleyTable(((0,),))
+    assert canonical_form(one) == one
+    assert is_self_canonical(one)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_canonical_form_matches_reference_filter_on_catalog_tables(n):
+    for spec in twq_catalog_specs(n):
+        t = build_twq(spec)
+        assert_canonical_matches_reference_filter(t)
+        assert_canonical_matches_reference_filter(canonical_form(t))
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_canonical_form_matches_reference_filter_without_idempotents(n):
+    """Tables where no t[a][a] = a: the least entry (0, 0) is 1."""
+    rng = np.random.default_rng(n)
+    for lq in (True, False):
+        for _ in range(12):
+            if lq:
+                rows = [rng.permutation(n) for _ in range(n)]
+                for a in range(n):  # swap a fixed point off the diagonal
+                    if rows[a][a] == a:
+                        b = (a + 1) % n
+                        rows[a][a], rows[a][b] = rows[a][b], rows[a][a]
+            else:
+                rows = [(rng.integers(1, n, size=n) + a) % n for a in range(n)]
+            t = CayleyTable.from_rows(rows)
+            assert all(t.rows[a][a] != a for a in range(n)) and t.is_left_quasigroup == lq
+            assert canonical_form(t).rows[0][0] == 1
+            assert_canonical_matches_reference_filter(t)
+            assert_canonical_matches_reference_filter(canonical_form(t))
