@@ -89,6 +89,8 @@ def cmd_construct(args) -> int:
         print(f"# twisted_ward {int(result.twisted_ward)}", file=sys.stderr)
         table = result.table
     elif args.builder == "perm":
+        if args.n < 1:  # an order-0 table is no table file
+            raise ValueError(f"element count must be at least 1, got {args.n}")
         table = construct.build_permutational(args.n, perms.parse_perm(args.f))
     else:  # block
         fam = _parse_block_family(Path(args.family).read_text())

@@ -76,14 +76,10 @@ class TwqSpec:
 
 
 def build_twq(spec: TwqSpec) -> CayleyTable:
-    """Table of x*y = c . psi(x^{-1} y)."""
-    g, psi, c = spec.group, spec.psi, spec.c
-    n = g.n
-    rows = [
-        [g.mul(c, psi[g.mul(g.inv(x), y)]) for y in range(n)]
-        for x in range(n)
-    ]
-    return CayleyTable.from_rows(rows)
+    """Table of x*y = c . psi(x^{-1} y): row x twists the left division row
+    of x in the group."""
+    cr, psi = spec.group.table.rows[spec.c], spec.psi
+    return CayleyTable.from_rows([[cr[psi[d]] for d in ld] for ld in spec.group.table._ldiv_rows])
 
 
 @dataclass(frozen=True)
@@ -195,12 +191,11 @@ def decompose_block(t: CayleyTable) -> BlockFamily:
 
 
 def _isotope(t: CayleyTable, e: int) -> CayleyTable:
-    """The isotope x <> y = (x rdiv e)*(e ldiv y) of a quasigroup."""
-    n = t.n
-    re = [t.rdiv(x, e) for x in range(n)]
+    """The isotope x <> y = (x rdiv e)*(e ldiv y) of a quasigroup; right
+    division by e inverts column e."""
+    re = inverse([row[e] for row in t.rows])
     le = t._ldiv_rows[e]
-    assert le is not None
-    return CayleyTable.from_rows([[t.rows[re[x]][le[y]] for y in range(n)] for x in range(n)])
+    return CayleyTable.from_rows([[t.rows[z][d] for d in le] for z in re])
 
 
 @dataclass(frozen=True)
@@ -218,8 +213,7 @@ def dis_element_form(t: CayleyTable) -> DisElementForm:
     e = next(iter(squares))
     if len(squares) != 1:
         return DisElementForm(e=min(squares), verified=False)
-    rows = t.rows
-    wanted = {compose(inverse(rows[x]), rows[e]) for x in range(t.n)}
+    wanted = {compose(inv, t.rows[e]) for inv in t._ldiv_rows}
     ok = multiplication_groups(t).dis.elements == frozenset(wanted)
     return DisElementForm(e=e, verified=ok and is_group(_isotope(t, e)))
 
@@ -234,21 +228,18 @@ def recover_structure(t: CayleyTable) -> TwqSpec:
     """
     if not t.is_quasigroup or not check_identity(t, "twisted_ward"):
         raise IdentityViolationError("structure recovery needs a twisted Ward quasigroup")
-    n = t.n
     e = t.rows[0][0]
     diamond = _isotope(t, e)
-    psi = tuple(t.rows[e])
-    # verify x*y = c . psi(x^-1 <> y) with c = e before relabeling
-    dinv = [diamond.rows[x].index(e) for x in range(n)]
-    for x in range(n):
-        for y in range(n):
-            if t.rows[x][y] != diamond.rows[e][psi[diamond.rows[dinv[x]][y]]]:
-                raise ConsistencyError("recovered presentation does not reproduce the table")
+    psi = t.rows[e]
+    # verify x*y = c . psi(x^-1 <> y) with c = e, row x twisting the left division row of x
+    er = diamond.rows[e]
+    if any(row != tuple(er[psi[d]] for d in ld) for row, ld in zip(t.rows, diamond._ldiv_rows)):
+        raise ConsistencyError("recovered presentation does not reproduce the table")
     if e != 0:
-        pi = list(range(n))
+        # as_group moves the identity e of diamond to 0 by this same transposition
+        pi = list(range(t.n))
         pi[0], pi[e] = e, 0
-        diamond = diamond.relabel(pi)
-        psi = tuple(pi[psi[pi[y]]] for y in range(n))
+        psi = tuple(pi[psi[pi[y]]] for y in range(t.n))
     spec = TwqSpec(group=as_group(diamond), psi=psi, c=0)
     if not table_isomorphic(build_twq(spec), t):
         raise ConsistencyError("rebuilt table is not isomorphic to the input")

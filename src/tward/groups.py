@@ -165,7 +165,7 @@ def enumerate_groups(n: int) -> tuple[FiniteGroup, ...]:
     found: list[FiniteGroup] = []
     for p in _primes_dividing(n):
         for h in enumerate_groups(n // p):
-            for alpha in h.automorphisms.sorted_elements():
+            for alpha in sorted(h.automorphisms.elements):
                 apow = alpha
                 for _ in range(p - 1):
                     apow = compose(alpha, apow)

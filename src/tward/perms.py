@@ -36,12 +36,11 @@ def is_perm(p: Sequence[int]) -> bool:
 
 @lru_cache(maxsize=4)
 def min_conjugates(n: int) -> dict[tuple[int, ...], Perm]:
-    """Lexicographically least permutation of each cycle type of degree n."""
+    """Lexicographically least permutation of each cycle type of degree n:
+    permutations() yields lexicographic order, so the first one of each."""
     best: dict[tuple[int, ...], Perm] = {}
     for p in itertools.permutations(range(n)):
-        ct = cycle_type(p)
-        if ct not in best or p < best[ct]:
-            best[ct] = p
+        best.setdefault(cycle_type(p), p)
     return best
 
 
@@ -73,9 +72,6 @@ class PermGroup:
 
     def __contains__(self, p: Perm) -> bool:
         return p in self.elements
-
-    def sorted_elements(self) -> list[Perm]:
-        return sorted(self.elements)
 
 
 def closure(generators: Iterable[Perm], degree: int, cap: int = DEFAULT_CAP) -> PermGroup:
@@ -117,13 +113,10 @@ def multiplication_groups(t: CayleyTable) -> MultiplicationGroups:
     L_x^{-1} L_e with e = 0."""
     if not t.is_left_quasigroup:
         raise StructureError("multiplication groups require a left quasigroup")
-    n = t.n
-    rows = [tuple(r) for r in t.rows]
-    invs = [inverse(r) for r in rows]
-    e = 0
+    n, rows = t.n, t.rows
     lmlt = closure(rows, n)
-    plus_gens = [compose(rows[e], invs[x]) for x in range(n)]
-    minus_gens = [compose(invs[x], rows[e]) for x in range(n)]
+    plus_gens = [compose(rows[0], inv) for inv in t._ldiv_rows]
+    minus_gens = [compose(inv, rows[0]) for inv in t._ldiv_rows]
     dis_plus = closure(plus_gens, n)
     dis_minus = closure(minus_gens, n)
     dis = closure(plus_gens + minus_gens, n)
@@ -156,7 +149,7 @@ def automorphism_group(t: CayleyTable) -> PermGroup:
     for p in sorted(elems):
         if p not in have:
             gens.append(p)
-            have = closure(gens, t.n, cap=max(len(elems), 1)).elements
+            have = closure(gens, t.n).elements
             if len(have) == len(elems):
                 break
     return PermGroup(t.n, elems, tuple(gens))
@@ -166,7 +159,6 @@ def automorphism_group(t: CayleyTable) -> PermGroup:
 class ConjugacyClass:
     representative: Perm
     size: int
-    members: frozenset[Perm]
 
 
 def conjugacy_classes(g: PermGroup) -> list[ConjugacyClass]:
@@ -177,6 +169,6 @@ def conjugacy_classes(g: PermGroup) -> list[ConjugacyClass]:
         x = min(remaining)
         orbit = {compose(compose(h, x), inverse(h)) for h in g.elements}
         remaining -= orbit
-        classes.append(ConjugacyClass(min(orbit), len(orbit), frozenset(orbit)))
+        classes.append(ConjugacyClass(min(orbit), len(orbit)))
     classes.sort(key=lambda c: (c.size, c.representative))
     return classes

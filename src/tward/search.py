@@ -12,7 +12,7 @@ of a root, and a row is allowed exactly when it is a candidate.
 Propagation runs on a worklist of newly set rows.  A node's parent is already
 at a fixpoint, so only the pairs (x, y) that involve a new row k can force
 anything: every x when k is y or y*y, and x = k otherwise.  A forced row must
-be allowed (one set-membership test) and joins the worklist.  The fixpoint is
+be allowed (one dict lookup) and joins the worklist.  The fixpoint is
 unique, so the order of the worklist does not change the leaves.
 
 At a branch point the first unset row j is tried only with the candidates
@@ -77,7 +77,6 @@ def _search_root(
         for q in itertools.permutations(range(n))
         if q >= root and mc[cycle_type(q)] >= root
     ]
-    allowed = set(cands)
     inverses = {q: inverse(q) for q in cands}
     # vectorized form of the candidates; permutations() yields them in lex
     # order, so their base-n codes are already sorted
@@ -109,7 +108,7 @@ def _search_root(
                     target = lx[y]
                     cur = rows[target]
                     if cur is None:
-                        if forced not in allowed:
+                        if forced not in code_of:
                             return False
                         rows[target] = forced
                         queue.append(target)

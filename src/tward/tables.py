@@ -469,15 +469,16 @@ def is_self_canonical(t: CayleyTable) -> bool:
 
 
 def _iso_candidates(t1: CayleyTable, t2: CayleyTable) -> list[list[int]]:
-    """Per-element candidate images, filtered by cheap invariants: the cycle
-    type of a permutation row (else the multiplicity of its first entry) and
-    idempotence."""
+    """Per-element candidate images, filtered by invariants of the row of x
+    under relabeling: the cycle type of a permutation row, else the sorted
+    multiplicities of its values, and idempotence."""
     n = t1.n
 
     def profile(t: CayleyTable, x: int):
         row = t.rows[x]
-        shape = cycle_type(row) if t._ldiv_rows[x] is not None else row.count(row[0])
-        return shape, row[x] == x
+        perm = t._ldiv_rows[x] is not None
+        shape = cycle_type(row) if perm else tuple(sorted(map(row.count, set(row))))
+        return perm, shape, row[x] == x
 
     p1 = [profile(t1, x) for x in range(n)]
     p2 = [profile(t2, x) for x in range(n)]

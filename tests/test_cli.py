@@ -86,6 +86,11 @@ def test_construct_perm(capsys):
     assert out.splitlines() == ["RESULT: ok", "3"] + ["2 0 1"] * 3
 
 
+def test_construct_perm_order_zero(capsys):
+    code, out = run(capsys, "construct", "perm", "0", "--f", "")
+    assert code == 2 and out.startswith("RESULT: error")
+
+
 def test_construct_bad_psi(capsys, cyclic3_file):
     code, out = run(capsys, "construct", "twq", cyclic3_file, "--psi", "1 0 2")
     assert code == 2
@@ -99,6 +104,16 @@ def test_iso(capsys, table4_file, cyclic3_file, tmp_path):
     assert code == 0 and out.startswith("RESULT: isomorphic")
     code, out = run(capsys, "iso", table4_file, cyclic3_file)
     assert code == 1 and out.startswith("RESULT: non-isomorphic")
+
+
+def test_iso_tables_with_non_permutation_rows(capsys, tmp_path):
+    """Swapping 0 and 1 maps the table with every row 0 1 1 to the one with
+    every row 0 1 0."""
+    first, second = tmp_path / "a.tbl", tmp_path / "b.tbl"
+    first.write_text("3\n" + "0 1 1\n" * 3)
+    second.write_text("3\n" + "0 1 0\n" * 3)
+    code, out = run(capsys, "iso", str(first), str(second))
+    assert code == 0 and out.startswith("RESULT: isomorphic")
 
 
 def test_braiding_verify(capsys, table4_file):

@@ -19,7 +19,7 @@ from tward import (
     table_isomorphic,
     twq_spec_isomorphic,
 )
-from tward.construct import BlockRejectionError
+from tward.construct import BlockRejectionError, _isotope
 from tward.errors import IdentityViolationError
 from tward.groups import enumerate_groups
 from tward.perms import compose, identity_perm
@@ -235,3 +235,46 @@ def test_spec_isomorphism_over_non_isomorphic_groups(n):
     for a, b in pairs:
         assert not twq_spec_isomorphic(a, b)
         assert not _reference_spec_isomorphic(a, b)
+
+
+def _reference_build_twq(spec):
+    """x*y = c . psi(x^{-1} y) entry by entry, with the group's own inverse."""
+    g, psi, c = spec.group, spec.psi, spec.c
+    n = g.n
+    return CayleyTable.from_rows(
+        [[g.mul(c, psi[g.mul(g.inv(x), y)]) for y in range(n)] for x in range(n)]
+    )
+
+
+def _reference_isotope(t, e):
+    """x <> y = (x rdiv e)*(e ldiv y), with one rdiv scan per element."""
+    n = t.n
+    re = [t.rdiv(x, e) for x in range(n)]
+    le = t._ldiv_rows[e]
+    return CayleyTable.from_rows([[t.rows[re[x]][le[y]] for y in range(n)] for x in range(n)])
+
+
+def _assert_build_twq_agrees(spec):
+    for c in range(spec.group.n):
+        twisted = TwqSpec(group=spec.group, psi=spec.psi, c=c)
+        assert build_twq(twisted).rows == _reference_build_twq(twisted).rows
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_build_twq_matches_reference(n):
+    """On every catalog spec, and on specs over groups recovered from
+    relabeled tables (new group objects, other tables), for every c."""
+    rng = random.Random(f"build-{n}")
+    for s in twq_catalog_specs(n):
+        _assert_build_twq_agrees(s)
+        pi = list(range(n))
+        rng.shuffle(pi)
+        _assert_build_twq_agrees(recover_structure(build_twq(s).relabel(pi)))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_isotope_matches_reference(n):
+    for s in twq_catalog_specs(n):
+        t = build_twq(s)
+        for e in range(n):
+            assert _isotope(t, e).rows == _reference_isotope(t, e).rows

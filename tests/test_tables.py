@@ -22,6 +22,7 @@ from tward import (
 )
 from tward.construct import build_twq
 from tward.errors import IdentityViolationError, StructureError
+from tward.perms import automorphism_group
 from tward.search import twq_catalog_specs
 from tward.tables import IDENTITY_KINDS, _perm_arrays, find_all_isomorphisms, is_self_canonical
 
@@ -321,6 +322,18 @@ def test_isomorphism_search(table4, cyclic3):
     # cyclic group of order 3: automorphism count is 2
     autos = list(find_all_isomorphisms(cyclic3, cyclic3))
     assert sorted(autos) == [(0, 1, 2), (0, 2, 1)]
+
+
+def test_isomorphism_search_on_binary_operations_of_order_3():
+    """Every 50th binary operation of order 3, most of them with rows that are
+    not permutations, is isomorphic to each of its relabelings, and its
+    automorphisms are the relabelings that fix it."""
+    perms = list(itertools.permutations(range(3)))
+    for flat in list(itertools.product(range(3), repeat=9))[::50]:
+        t = CayleyTable((flat[0:3], flat[3:6], flat[6:9]))
+        for pi in perms:
+            assert table_isomorphic(t, t.relabel(pi)), (t.rows, pi)
+        assert automorphism_group(t).elements == {pi for pi in perms if t.relabel(pi) == t}
 
 
 def test_exhaustive_iso_agrees_with_canonical_form():
