@@ -89,8 +89,6 @@ def cmd_construct(args) -> int:
         print(f"# twisted_ward {int(result.twisted_ward)}", file=sys.stderr)
         table = result.table
     elif args.builder == "perm":
-        if args.n < 1:  # an order-0 table is no table file
-            raise ValueError(f"element count must be at least 1, got {args.n}")
         table = construct.build_permutational(args.n, perms.parse_perm(args.f))
     else:  # block
         fam = _parse_block_family(Path(args.family).read_text())
@@ -180,7 +178,7 @@ def cmd_count(args) -> int:
     elif args.what == "p":
         print(f"RESULT: {groups.partition_number(args.n)}")
     else:
-        row = search.counts_row(args.n, budget_seconds=args.budget)
+        row = search.counts_row(args.n, budget_seconds=args.budget, threads=args.threads)
         ell = "?" if row.ell is None else row.ell
         print(f"RESULT: n={row.n} ell={ell} q={row.q} p={row.p}")
     return EXIT_OK
@@ -203,6 +201,8 @@ def cmd_enumerate(args) -> int:
     print(f"n total perm quasi neither: {report.summary_line()}")
     if args.stats:
         print(f"nodes {report.nodes} leaves {report.leaves} accepted {report.total}")
+        for root in report.roots:
+            print(root.stats_line())
     return EXIT_OK
 
 
@@ -300,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("--budget", type=float, default=search.DEFAULT_BUDGET)
     p.add_argument("--out", help="directory for canonical table files")
-    p.add_argument("--stats", action="store_true", help="print search node and leaf counts")
+    p.add_argument("--stats", action="store_true", help="print search node and leaf counts, in all and per root")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("dichotomy", help="prime-order dichotomy report")

@@ -119,6 +119,8 @@ def build_affine(
 
 def build_permutational(n: int, f: Perm) -> CayleyTable:
     """x*y = f(y): every row equals f."""
+    if n < 1:  # an order-0 table is no table
+        raise ValueError(f"element count must be at least 1, got {n}")
     if len(f) != n or not is_perm(f):
         raise ValueError("f must be a permutation of degree n")
     return CayleyTable.from_rows([list(f)] * n)

@@ -1,27 +1,35 @@
 """Exhaustive isomorphism-free enumeration of twisted Ward left quasigroups.
 
-The search assigns rows (left translations) as whole permutations and
-propagates the translation form of the defining identity,
-L_{x*y} = L_{y*y} L_y L_x^{-1}, which forces most rows once a few are chosen.
-Isomorph rejection keeps a completed table only if it equals its own
-canonical form; the search space is cut beforehand by two sound facts about
-canonical tables: row 0 is the least conjugate of any row, and every row is
-lexicographically >= row 0.  The rows that pass both facts are the candidates
-of a root, and a row is allowed exactly when it is a candidate.
+The search assigns rows (left translations) as whole permutations.  In
+translation form the defining identity (x*y)*(x*z) = (y*y)*(y*z) says that
+for each y the composite C_y = L_{x*y} L_x is the same for every x.  A node
+holds the rows set so far and, for each y, C_y once some set row x has its
+row L_{x*y} set too; every other set x then forces L_{x*y} = C_y L_x^{-1},
+which fixes most rows once a few are chosen.  Isomorph rejection keeps a
+completed table only if it equals its own canonical form; the search space
+is cut beforehand by two sound facts about canonical tables: row 0 is the
+least conjugate of any row, and every row is lexicographically >= row 0.
+The rows that pass both facts are the candidates of a root, and a row is
+allowed exactly when it is a candidate.
 
 Propagation runs on a worklist of newly set rows.  A node's parent is already
-at a fixpoint, so only the pairs (x, y) that involve a new row k can force
-anything: every x when k is y or y*y, and x = k otherwise.  A forced row must
-be allowed (one dict lookup) and joins the worklist.  The fixpoint is
-unique, so the order of the worklist does not change the leaves.
+at a fixpoint: every pair (x, x*y) of set rows agrees with a known C_y.  So
+for a new row k and each y, only pairs that involve k can teach or break
+anything.  If C_y is unknown, it is learned from a pair with k as x, that
+is (k, k*y), or with k as x*y, that is any set x with x*y = k; once learned,
+one sweep over the set rows forces L_{x*y} for every x.  If C_y is known,
+only x = k is forced: a pair (x, k) was checked when x was popped, or by the
+sweep that learned C_y.  A forced row must be allowed (one dict lookup) and
+joins the worklist.  The fixpoint is unique, so the order of the worklist
+does not change the leaves.
 
 At a branch point the first unset row j is tried only with the candidates
 that survive the same rule with x = j, applied to all candidates at once in
-numpy: for every y whose L_y and L_{y*y} are set, the forced row
-L_{y*y} L_y q^{-1} must be allowed, must equal the row at q(y) if that row is
-set, and must equal q itself if q(y) = j.  The filter drops only candidates
-that propagation would reject at once, so the leaves and the tables handed
-to the canonical check are the same as without it.
+numpy: for every y with C_y known, the forced row C_y q^{-1} must be
+allowed, must equal the row at q(y) if that row is set, and must equal q
+itself if q(y) = j.  The filter drops only candidates that propagation would
+reject at once, so the leaves and the tables handed to the canonical check
+are the same as without it.
 """
 from __future__ import annotations
 
@@ -30,6 +38,8 @@ import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
+from time import perf_counter
 
 import numpy as np
 
@@ -44,6 +54,23 @@ DEFAULT_BUDGET = 600.0
 
 
 @dataclass(frozen=True)
+class RootStats:
+    """The work of the search below one root (first row)."""
+
+    root: Perm
+    nodes: int
+    leaves: int
+    accepted: int
+    seconds: float
+
+    def stats_line(self) -> str:
+        return (
+            f"root {','.join(map(str, self.root))} nodes {self.nodes} "
+            f"leaves {self.leaves} accepted {self.accepted} seconds {self.seconds:.3f}"
+        )
+
+
+@dataclass(frozen=True)
 class EnumerationReport:
     n: int
     total: int
@@ -53,6 +80,7 @@ class EnumerationReport:
     representatives: tuple[CayleyTable, ...]
     nodes: int = 0
     leaves: int = 0
+    roots: tuple[RootStats, ...] = ()
 
     def summary_line(self) -> str:
         return (
@@ -66,20 +94,23 @@ def _roots(n: int) -> list[Perm]:
     return sorted(min_conjugates(n).values())
 
 
+@lru_cache(maxsize=4)
+def _least_conjugate_pairs(n: int) -> tuple[tuple[Perm, Perm], ...]:
+    """Every permutation of degree n in lexicographic order, each with the
+    least conjugate of its cycle type."""
+    mc = min_conjugates(n)
+    return tuple((q, mc[cycle_type(q)]) for q in itertools.permutations(range(n)))
+
+
 def _search_root(
     n: int, root: Perm, deadline: float | None
 ) -> tuple[list[tuple[tuple[int, ...], ...]], int, int]:
     """All self-canonical twisted Ward left quasigroup tables with first row
     equal to ``root``, with the number of nodes and of leaves visited."""
-    mc = min_conjugates(n)
-    cands = [
-        q
-        for q in itertools.permutations(range(n))
-        if q >= root and mc[cycle_type(q)] >= root
-    ]
+    cands = [q for q, least in _least_conjugate_pairs(n) if q >= root and least >= root]
     inverses = {q: inverse(q) for q in cands}
-    # vectorized form of the candidates; permutations() yields them in lex
-    # order, so their base-n codes are already sorted
+    # vectorized form of the candidates; they are in lex order, so their
+    # base-n codes are already sorted
     C = np.array(cands, dtype=np.intp)
     CI = np.argsort(C, axis=1)
     powers = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
@@ -88,23 +119,31 @@ def _search_root(
     results: list[tuple[tuple[int, ...], ...]] = []
     nodes = leaves = 0
 
-    def propagate(rows: list[Perm | None], queue: list[int]) -> bool:
+    def propagate(rows: list[Perm | None], comp: list[Perm | None], queue: list[int]) -> bool:
         while queue:
             k = queue.pop()
+            lk = rows[k]
             for y in range(n):
-                ly = rows[y]
-                if ly is None:
-                    continue
-                sy = ly[y]
-                lsy = rows[sy]
-                if lsy is None:
-                    continue
-                ny = compose(lsy, ly)
-                for x in range(n) if k == y or k == sy else (k,):
+                cy = comp[y]
+                if cy is not None:
+                    xs: range | tuple[int] = (k,)
+                else:
+                    # learn C_y from (k, k*y), else from some (x, k) with x*y = k
+                    lky = rows[lk[y]]
+                    if lky is not None:
+                        cy = compose(lky, lk)
+                    else:
+                        lx = next((r for r in rows if r is not None and r[y] == k), None)
+                        if lx is None:
+                            continue
+                        cy = compose(lk, lx)
+                    comp[y] = cy
+                    xs = range(n)
+                for x in xs:
                     lx = rows[x]
                     if lx is None:
                         continue
-                    forced = compose(ny, inverses[lx])
+                    forced = compose(cy, inverses[lx])
                     target = lx[y]
                     cur = rows[target]
                     if cur is None:
@@ -116,31 +155,30 @@ def _search_root(
                         return False
         return True
 
-    def survivors(rows: list[Perm | None], j: int) -> np.ndarray:
+    def survivors(rows: list[Perm | None], comp: list[Perm | None], j: int) -> np.ndarray:
         """Indices of the candidates for row j that pass the rule with x = j
-        against every y whose L_y and L_{y*y} are set."""
+        against every known C_y."""
         # code of each set row; -1 marks an unset row, -2 the branch row j
         row_code = np.array(
             [-1 if r is None else code_of[r] for r in rows], dtype=np.int64
         )
         row_code[j] = -2
-        keep = np.ones(len(cands), dtype=bool)
-        for y in range(n):
-            ly = rows[y]
-            if ly is None or rows[ly[y]] is None:
+        idx = np.arange(len(cands))
+        for y, cy in enumerate(comp):
+            if cy is None or not len(idx):
                 continue
-            ny = np.array(compose(rows[ly[y]], ly), dtype=np.intp)
-            fc = ny[CI] @ powers
+            # forced rows C_y q^{-1} of the candidates q that survive so far
+            fc = np.array(cy, dtype=np.intp)[CI[idx]] @ powers
             pos = np.minimum(np.searchsorted(codes, fc), len(codes) - 1)
-            want = row_code[C[:, y]]
-            keep &= (
+            want = row_code[C[idx, y]]
+            idx = idx[
                 (codes[pos] == fc)
                 & ((want < 0) | (want == fc))
-                & ((want != -2) | (fc == codes))
-            )
-        return np.flatnonzero(keep)
+                & ((want != -2) | (fc == codes[idx]))
+            ]
+        return idx
 
-    def rec(rows: list[Perm | None], k: int) -> None:
+    def rec(rows: list[Perm | None], comp: list[Perm | None], k: int) -> None:
         nonlocal nodes, leaves
         # polled on the first node, so a root never starts past the deadline
         if deadline is not None and nodes % 256 == 0 and time.monotonic() >= deadline:
@@ -149,7 +187,8 @@ def _search_root(
             )
         nodes += 1
         rows = list(rows)
-        if not propagate(rows, [k]):
+        comp = list(comp)
+        if not propagate(rows, comp, [k]):
             return
         if None not in rows:
             leaves += 1
@@ -158,14 +197,23 @@ def _search_root(
                 results.append(table.rows)
             return
         j = rows.index(None)
-        for i in survivors(rows, j).tolist():
+        for i in survivors(rows, comp, j).tolist():
             rows[j] = cands[i]
-            rec(rows, j)
+            rec(rows, comp, j)
 
     start: list[Perm | None] = [None] * n
     start[0] = root
-    rec(start, 0)
+    rec(start, [None] * n, 0)
     return results, nodes, leaves
+
+
+def _timed_root(
+    n: int, root: Perm, deadline: float | None
+) -> tuple[list[tuple[tuple[int, ...], ...]], RootStats]:
+    """``_search_root`` with its counts and seconds as a RootStats."""
+    began = perf_counter()
+    rows, nodes, leaves = _search_root(n, root, deadline)
+    return rows, RootStats(root, nodes, leaves, len(rows), perf_counter() - began)
 
 
 def enumerate_tw_left_quasigroups(
@@ -189,23 +237,19 @@ def enumerate_tw_left_quasigroups(
     roots = _roots(n)
     parallel = threads > 1 and len(roots) > 1
     all_rows: list[tuple[tuple[int, ...], ...]] = []
-    completed = nodes = leaves = 0
+    stats: list[RootStats] = []
     with ProcessPoolExecutor(threads) if parallel else contextlib.nullcontext() as pool:
         jobs = (itertools.repeat(n), roots, itertools.repeat(deadline))
         try:
-            for rows, root_nodes, root_leaves in (pool.map if parallel else map)(
-                _search_root, *jobs
-            ):
+            for rows, root_stats in (pool.map if parallel else map)(_timed_root, *jobs):
                 all_rows.extend(rows)
-                nodes += root_nodes
-                leaves += root_leaves
-                completed += 1
+                stats.append(root_stats)
         except BudgetExceededError as exc:
             raise BudgetExceededError(
                 f"enumeration budget exceeded at order {n}",
-                completed=completed,
-                nodes=nodes + exc.nodes,
-                leaves=leaves + exc.leaves,
+                completed=len(stats),
+                nodes=sum(r.nodes for r in stats) + exc.nodes,
+                leaves=sum(r.leaves for r in stats) + exc.leaves,
             ) from exc
     tables = [CayleyTable._derived(rows, True) for rows in sorted(set(all_rows))]
     perm = quasi = neither = 0
@@ -224,8 +268,9 @@ def enumerate_tw_left_quasigroups(
         quasigroup_count=quasi,
         neither_count=neither,
         representatives=tuple(tables),
-        nodes=nodes,
-        leaves=leaves,
+        nodes=sum(r.nodes for r in stats),
+        leaves=sum(r.leaves for r in stats),
+        roots=tuple(stats),
     )
 
 
@@ -321,7 +366,7 @@ class CountsRow:
 
 
 def counts_row(
-    n: int, with_ell: bool = True, budget_seconds: float = DEFAULT_BUDGET
+    n: int, with_ell: bool = True, budget_seconds: float = DEFAULT_BUDGET, threads: int = 1
 ) -> CountsRow:
     """One row of the classification table.  ell is computed by exhaustive
     enumeration when requested and within range, else left unknown."""
@@ -329,7 +374,7 @@ def counts_row(
     p = partition_number(n)
     ell = None
     if with_ell and n <= MAX_ENUM_ORDER:
-        ell = enumerate_tw_left_quasigroups(n, budget_seconds=budget_seconds).total
+        ell = enumerate_tw_left_quasigroups(n, budget_seconds, threads).total
     if ell is not None and _is_prime(n) and ell != q + p:
         raise ConsistencyError(f"prime-order identity ell = q + p fails at n = {n}")
     return CountsRow(n=n, ell=ell, q=q, p=p)

@@ -4,6 +4,23 @@ import pytest
 
 from tward import CayleyTable
 
+
+def pytest_addoption(parser):
+    parser.addoption("--runslow", action="store_true", help="also run the tests marked slow")
+
+
+def pytest_configure(config):
+    config.addinivalue_line("markers", "slow: a long run, skipped unless --runslow is given")
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("--runslow"):
+        return
+    skip = pytest.mark.skip(reason="slow; give --runslow to run it")
+    for item in items:
+        if "slow" in item.keywords:
+            item.add_marker(skip)
+
 # 4-element twisted Ward left quasigroup that is neither permutational nor a
 # quasigroup; its row-equality kernel is not a congruence.
 TABLE4 = CayleyTable.from_rows(

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tward import CayleyTable
+from tward import CayleyTable, search
 from tward.cli import IDENTITY_NAMES, main
 
 from conftest import CYCLIC3, TABLE4
@@ -260,6 +260,30 @@ def test_enumerate_stats(capsys):
     assert lines[1] == "n total perm quasi neither: 4 14 5 5 4"
     stats = re.fullmatch(r"nodes (\d+) leaves 26 accepted 14", lines[2])
     assert stats and int(stats[1]) >= 26
+
+
+def test_enumerate_stats_per_root(capsys):
+    code, out = run(capsys, "enumerate", "4", "--stats")
+    lines = out.splitlines()
+    pattern = r"root ([\d,]+) nodes (\d+) leaves (\d+) accepted (\d+) seconds [\d.]+"
+    per_root = [re.fullmatch(pattern, line) for line in lines[3:]]
+    assert code == 0 and len(per_root) == 5 and all(per_root)
+    assert [m[1] for m in per_root] == ["0,1,2,3", "0,1,3,2", "0,2,3,1", "1,0,3,2", "1,2,3,0"]
+    totals = [sum(int(m[i]) for m in per_root) for i in (2, 3, 4)]
+    assert lines[2] == "nodes {} leaves {} accepted {}".format(*totals)
+
+
+def test_count_row_passes_threads(capsys, monkeypatch):
+    seen = {}
+
+    def counts_row(n, budget_seconds, threads):
+        seen.update(n=n, threads=threads)
+        return search.CountsRow(n=n, ell=None, q=0, p=0)
+
+    monkeypatch.setattr(search, "counts_row", counts_row)
+    code, out = run(capsys, "--threads", "2", "count", "row", "5")
+    assert code == 0 and out.startswith("RESULT: n=5")
+    assert seen == {"n": 5, "threads": 2}
 
 
 # random table and block-family files: ragged rows, out-of-range entries,

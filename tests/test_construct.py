@@ -118,6 +118,11 @@ def test_build_permutational():
         build_permutational(3, (0, 0, 1))
 
 
+def test_build_permutational_order_zero_raises():
+    with pytest.raises(ValueError, match="at least 1"):
+        build_permutational(0, ())
+
+
 def test_block_round_trip(table4, table6):
     for t in (table4, table6):
         fam = decompose_block(t)

@@ -97,8 +97,44 @@ def test_search_matches_full_sweep_reference(monkeypatch):
 def test_search_counters(enum_reports):
     report = enum_reports(6)
     assert report.leaves == 302
-    # the full-sweep search without the candidate filter visits 451,999 nodes
-    assert report.leaves <= report.nodes < 20_000
+    # the full-sweep search without the candidate filter visits 451,999
+    # nodes, the search that learns C_y only from x = y 14,184
+    assert report.leaves <= report.nodes <= 8_269
+
+
+# (nodes, leaves) of each root, in the order of search._roots(n), of the
+# search that learns C_y only from x = y, that is from L_y and L_{y*y}
+X_EQUALS_Y_COUNTS = {
+    1: [(1, 1)],
+    2: [(3, 2), (2, 1)],
+    3: [(8, 2), (7, 2), (4, 1)],
+    4: [(39, 11), (33, 5), (16, 2), (22, 5), (10, 3)],
+    5: [(256, 7), (141, 1), (102, 1), (129, 3), (65, 3), (52, 1), (53, 1)],
+    6: [
+        (4964, 201), (1862, 13), (809, 9), (2083, 29), (1024, 5), (606, 1),
+        (384, 1), (1548, 25), (386, 1), (345, 13), (173, 4),
+    ],
+}
+
+
+def test_per_root_counts_no_worse_than_x_equals_y_rule(enum_reports):
+    """Learning C_y from any row reaches the same leaves below every root,
+    through no more nodes."""
+    for n, expected in X_EQUALS_Y_COUNTS.items():
+        report = enum_reports(n)
+        assert [r.root for r in report.roots] == search._roots(n)
+        for stats, (nodes, leaves) in zip(report.roots, expected, strict=True):
+            assert stats.leaves == leaves and stats.nodes <= nodes
+
+
+def test_report_sums_its_roots(enum_reports):
+    for n in range(1, 7):
+        report = enum_reports(n)
+        assert sum(r.nodes for r in report.roots) == report.nodes
+        assert sum(r.leaves for r in report.roots) == report.leaves
+        # accepted tables of two roots differ in row 0
+        assert sum(r.accepted for r in report.roots) == report.total
+        assert all(r.seconds >= 0 for r in report.roots)
 
 
 def test_small_counts(enum_reports):
@@ -201,7 +237,7 @@ def test_budget_error_counts_partial_work(monkeypatch):
     256 per poll passed in the interrupted root."""
     n = 6
     per_root = [search._search_root(n, root, None) for root in search._roots(n)]
-    for polls in (1, 5, 21, 30):  # root 0 polls 20 times, root 1 8 times
+    for polls in (1, 5, 21, 30):  # root 0 polls 11 times, root 1 6 times, all 40
         ticks = itertools.count()
         monkeypatch.setattr(search, "time", types.SimpleNamespace(monotonic=lambda: next(ticks)))
         with pytest.raises(BudgetExceededError) as info:
@@ -231,6 +267,17 @@ def test_threaded_run_matches_serial(enum_reports):
     assert parallel.total == serial.total
     assert parallel.representatives == serial.representatives
     assert (parallel.nodes, parallel.leaves) == (serial.nodes, serial.leaves)
+
+    def counts(report):
+        return [(r.root, r.nodes, r.leaves, r.accepted) for r in report.roots]
+
+    assert counts(parallel) == counts(serial)
+
+
+def test_counts_row_threads(enum_reports):
+    serial = search.counts_row(6)
+    assert serial.ell == enum_reports(6).total
+    assert search.counts_row(6, threads=2) == serial
 
 
 def test_summary_line(enum_reports):
