@@ -60,6 +60,69 @@ def test_props(capsys, table4_file):
     assert "dis_order 2" in out
 
 
+PROPS_STDOUT = {
+    "t4": [
+        "left_quasigroup 1", "quasigroup 0", "permutational 0", "faithful 0",
+        "lmlt_order 4", "dis_plus_order 2", "dis_minus_order 2", "dis_order 2",
+        "dis_plus_regular 0",
+    ],
+    "c3": [
+        "left_quasigroup 1", "quasigroup 1", "permutational 0", "faithful 1",
+        "lmlt_order 3", "dis_plus_order 3", "dis_minus_order 3", "dis_order 3",
+        "dis_plus_regular 1",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROPS_STDOUT))
+def test_props_whole_stdout(capsys, table4_file, cyclic3_file, name):
+    code, out = run(capsys, "props", {"t4": table4_file, "c3": cyclic3_file}[name])
+    assert code == 0
+    assert out == "\n".join(["RESULT: ok"] + PROPS_STDOUT[name]) + "\n"
+
+
+# (table, kind) -> (exit code, stdout lines)
+BRAIDING_VERIFY_STDOUT = {
+    ("t4", "derived"): (1, [
+        "RESULT: not-a-braiding",
+        "witness YB1 at (x, y, z) = (0, 1, 0)",
+        "derived 1 involutive 0 idempotent 0 left_nondegenerate 1 nondegenerate 1 latin 0",
+    ]),
+    ("t4", "involutive"): (1, [
+        "RESULT: not-a-braiding",
+        "witness YB2 at (x, y, z) = (0, 0, 1)",
+        "derived 0 involutive 1 idempotent 0 left_nondegenerate 1 nondegenerate 0 latin 0",
+    ]),
+    ("t4", "idempotent"): (0, [
+        "RESULT: braiding",
+        "derived 0 involutive 0 idempotent 1 left_nondegenerate 1 nondegenerate 0 latin 0",
+    ]),
+    ("c3", "derived"): (1, [
+        "RESULT: not-a-braiding",
+        "witness YB1 at (x, y, z) = (1, 0, 0)",
+        "derived 1 involutive 0 idempotent 0 left_nondegenerate 1 nondegenerate 1 latin 1",
+    ]),
+    ("c3", "involutive"): (1, [
+        "RESULT: not-a-braiding",
+        "witness YB2 at (x, y, z) = (0, 0, 1)",
+        "derived 0 involutive 1 idempotent 0 left_nondegenerate 1 nondegenerate 0 latin 1",
+    ]),
+    ("c3", "idempotent"): (1, [
+        "RESULT: not-a-braiding",
+        "witness YB2 at (x, y, z) = (0, 0, 1)",
+        "derived 0 involutive 0 idempotent 1 left_nondegenerate 1 nondegenerate 1 latin 1",
+    ]),
+}
+
+
+@pytest.mark.parametrize("name, kind", sorted(BRAIDING_VERIFY_STDOUT))
+def test_braiding_verify_whole_stdout(capsys, table4_file, cyclic3_file, name, kind):
+    path = {"t4": table4_file, "c3": cyclic3_file}[name]
+    code, out = run(capsys, "braiding", path, "--kind", kind, "--verify")
+    want_code, want_lines = BRAIDING_VERIFY_STDOUT[name, kind]
+    assert (code, out) == (want_code, "\n".join(want_lines) + "\n")
+
+
 def test_kernels(capsys, table4_file):
     code, out = run(capsys, "kernels", table4_file)
     assert code == 0
