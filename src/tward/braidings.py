@@ -142,16 +142,13 @@ def _with_bullet(circ: CayleyTable, ld, kind: str) -> Braiding:
     n = len(rows)
     if kind == "derived":
         bullet = tuple((x,) * n for x in range(n))
-        # a constant row is a permutation only when n <= 1
-        return Braiding(circ=circ, bullet=CayleyTable._derived(bullet, n <= 1))
-    if kind == "involutive":
+    elif kind == "involutive":
         # row x reads column x of ld at the entries of row x of circ
         bullet = tuple(tuple(map(col.__getitem__, row)) for col, row in zip(zip(*ld), rows))
     else:
         square = tuple(ld[c][c] for c in range(n))
         bullet = tuple(tuple(map(square.__getitem__, row)) for row in rows)
-    lq = all(len(set(row)) == n for row in bullet)
-    return Braiding(circ=circ, bullet=CayleyTable._derived(bullet, lq))
+    return Braiding(circ=circ, bullet=CayleyTable._derived(bullet))
 
 
 def to_braiding(t: CayleyTable, kind: str) -> Braiding:
@@ -164,14 +161,14 @@ def to_braiding(t: CayleyTable, kind: str) -> Braiding:
         raise ValueError(f"unknown braiding kind {kind!r}")
     if not t.is_left_quasigroup:
         raise StructureError("braiding construction requires a left quasigroup")
-    return _with_bullet(CayleyTable._derived(t._ldiv_rows, True), t.rows, kind)
+    return _with_bullet(CayleyTable._derived(t._ldiv_rows), t.rows, kind)
 
 
 def from_braiding(b: Braiding) -> CayleyTable:
     """Recover the left quasigroup x*y = x ldiv_circ y."""
     if not b.circ.is_left_quasigroup:
         raise StructureError("recovery requires a left nondegenerate braiding")
-    return CayleyTable._derived(b.circ._ldiv_rows, True)
+    return CayleyTable._derived(b.circ._ldiv_rows)
 
 
 def induced_bullet(t_circ: CayleyTable, kind: str) -> Braiding:

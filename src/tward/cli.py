@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import braidings, construct, groups, perms, search, tables
@@ -45,14 +46,16 @@ def cmd_check(args) -> int:
     return EXIT_FAIL
 
 
+def _flag_words(report) -> list[str]:
+    """'name 0|1' per field of a dataclass of flags, without an 'is_' prefix."""
+    return [f"{f.name.removeprefix('is_')} {int(getattr(report, f.name))}" for f in fields(report)]
+
+
 def cmd_props(args) -> int:
     t = _read_table(args.file)
     flags = tables.classify_structure(t)
     print("RESULT: ok")
-    print(f"left_quasigroup {int(flags.is_left_quasigroup)}")
-    print(f"quasigroup {int(flags.is_quasigroup)}")
-    print(f"permutational {int(flags.is_permutational)}")
-    print(f"faithful {int(flags.is_faithful)}")
+    print("\n".join(_flag_words(flags)))
     if flags.is_left_quasigroup:
         mg = perms.multiplication_groups(t)
         print(f"lmlt_order {mg.lmlt.order}")
@@ -140,23 +143,12 @@ def cmd_braiding(args) -> int:
     b = braidings.to_braiding(t, args.kind)
     if args.verify:
         ok, witness = braidings.is_braiding(b, witness=True)
-        props = braidings.properties(b)
         if ok:
             print("RESULT: braiding")
         else:
             print("RESULT: not-a-braiding")
             print(f"witness {witness[0]} at (x, y, z) = {witness[1]}")
-        print(
-            "derived {d} involutive {i} idempotent {e} left_nondegenerate {l} "
-            "nondegenerate {nd} latin {la}".format(
-                d=int(props.derived),
-                i=int(props.involutive),
-                e=int(props.idempotent),
-                l=int(props.left_nondegenerate),
-                nd=int(props.nondegenerate),
-                la=int(props.latin),
-            )
-        )
+        print(" ".join(_flag_words(braidings.properties(b))))
         return EXIT_OK if ok else EXIT_FAIL
     print("RESULT: ok")
     sys.stdout.write(b.to_text())

@@ -223,25 +223,21 @@ def dis_element_form(t: CayleyTable) -> DisElementForm:
 def recover_structure(t: CayleyTable) -> TwqSpec:
     """Recover a (group, psi, c) presentation of a twisted Ward quasigroup.
 
-    e is the unique square; the group is the isotope x <> y =
-    (x rdiv e)*(e ldiv y) with identity e, psi is the left translation by e,
-    and c = e.  After relabeling the identity to 0 the constant becomes 0.
-    The presentation is verified pointwise and by a rebuild round trip.
+    e is the unique square.  After relabeling by the transposition (0 e), the
+    group is the isotope x <> y = (x rdiv 0)*(0 ldiv y) with identity 0, psi
+    is the left translation by 0, and c = 0.  The presentation is verified
+    pointwise and by a rebuild round trip against the table as given.
     """
     if not t.is_quasigroup or not check_identity(t, "twisted_ward"):
         raise IdentityViolationError("structure recovery needs a twisted Ward quasigroup")
     e = t.rows[0][0]
-    diamond = _isotope(t, e)
-    psi = t.rows[e]
-    # verify x*y = c . psi(x^-1 <> y) with c = e, row x twisting the left division row of x
-    er = diamond.rows[e]
-    if any(row != tuple(er[psi[d]] for d in ld) for row, ld in zip(t.rows, diamond._ldiv_rows)):
+    u = t.relabel([{0: e, e: 0}.get(x, x) for x in range(t.n)])
+    diamond = _isotope(u, 0)
+    psi = u.rows[0]
+    # verify x*y = c . psi(x^-1 <> y) with c = 0, row x twisting the left division row of x
+    er = diamond.rows[0]
+    if any(row != tuple(er[psi[d]] for d in ld) for row, ld in zip(u.rows, diamond._ldiv_rows)):
         raise ConsistencyError("recovered presentation does not reproduce the table")
-    if e != 0:
-        # as_group moves the identity e of diamond to 0 by this same transposition
-        pi = list(range(t.n))
-        pi[0], pi[e] = e, 0
-        psi = tuple(pi[psi[pi[y]]] for y in range(t.n))
     spec = TwqSpec(group=as_group(diamond), psi=psi, c=0)
     if not table_isomorphic(build_twq(spec), t):
         raise ConsistencyError("rebuilt table is not isomorphic to the input")

@@ -192,7 +192,7 @@ def _search_root(
             return
         if None not in rows:
             leaves += 1
-            table = CayleyTable._derived(tuple(rows), True)  # type: ignore[arg-type]
+            table = CayleyTable._derived(tuple(rows))  # type: ignore[arg-type]
             if is_self_canonical(table):
                 results.append(table.rows)
             return
@@ -251,7 +251,7 @@ def enumerate_tw_left_quasigroups(
                 nodes=sum(r.nodes for r in stats) + exc.nodes,
                 leaves=sum(r.leaves for r in stats) + exc.leaves,
             ) from exc
-    tables = [CayleyTable._derived(rows, True) for rows in sorted(set(all_rows))]
+    tables = [CayleyTable._derived(rows) for rows in sorted(set(all_rows))]
     perm = quasi = neither = 0
     for t in tables:
         flags = classify_structure(t)

@@ -7,7 +7,8 @@ Everything here is immutable and safe to share.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
@@ -34,20 +35,24 @@ def _carrier(n: int) -> frozenset:
     return frozenset(range(n))
 
 
+def _index(v) -> int:
+    """v as an int, for an integer v (numpy integers and bools pass); ValueError otherwise."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ValueError(f"entry {v!r} is not an integer") from None
+
+
 def _check_row(row: Sequence, n: int) -> None:
     """Raise ValueError at an entry that is not an integer in 0..n-1 (numpy integers pass)."""
     for v in row:
-        if not hasattr(v, "__index__"):
-            raise ValueError(f"entry {v!r} is not an integer")
-        if not (0 <= v < n):
+        if not (0 <= _index(v) < n):
             raise ValueError(f"entry {v} out of range 0..{n - 1}")
 
 
 @dataclass(frozen=True)
 class CayleyTable:
     rows: tuple[tuple[int, ...], ...]
-    # every row is a permutation; set by __post_init__
-    is_left_quasigroup: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = self.rows
@@ -74,22 +79,27 @@ class CayleyTable:
             lq = lq and len(s) == n
         if not exact:
             object.__setattr__(self, "rows", tuple(tuple(int(v) for v in row) for row in rows))
+        # the validation pass has decided the flag; prime its cache
         object.__setattr__(self, "is_left_quasigroup", lq)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "CayleyTable":
-        return cls(tuple(tuple(int(v) for v in row) for row in rows))
+        return cls(tuple(tuple(map(_index, row)) for row in rows))
 
     @classmethod
-    def _derived(cls, rows: tuple[tuple[int, ...], ...], is_left_quasigroup: bool) -> "CayleyTable":
+    def _derived(cls, rows: tuple[tuple[int, ...], ...]) -> "CayleyTable":
         """A table over rows computed from a validated table, built without
         validation: the caller guarantees a square tuple of int tuples over
-        0..n-1 and gives is_left_quasigroup from the structure it derived
-        them from."""
+        0..n-1."""
         t = object.__new__(cls)
         object.__setattr__(t, "rows", rows)
-        object.__setattr__(t, "is_left_quasigroup", is_left_quasigroup)
         return t
+
+    @cached_property
+    def is_left_quasigroup(self) -> bool:
+        """Every row is a permutation."""
+        n = len(self.rows)
+        return all(len(set(row)) == n for row in self.rows)
 
     @property
     def n(self) -> int:
@@ -118,6 +128,15 @@ class CayleyTable:
             else:
                 out.append(None)
         return tuple(out)
+
+    @cached_property
+    def _row_profiles(self) -> tuple[tuple[bool, tuple[int, ...], bool], ...]:
+        """Per x, invariants of row x under relabeling: whether it is a permutation,
+        its cycle type or else its sorted value multiplicities, and whether x is idempotent."""
+        return tuple(
+            (inv is not None, cycle_type(row) if inv else tuple(sorted(map(row.count, set(row)))), row[x] == x)
+            for x, (row, inv) in enumerate(zip(self.rows, self._ldiv_rows))
+        )
 
     @cached_property
     def is_quasigroup(self) -> bool:
@@ -150,6 +169,7 @@ class CayleyTable:
     def relabel(self, pi: Sequence[int]) -> "CayleyTable":
         """Simultaneous relabeling: new[pi(x)][pi(y)] = pi(old[x][y])."""
         n = self.n
+        pi = tuple(map(_index, pi))
         if sorted(pi) != list(range(n)):
             raise ValueError("relabeling is not a permutation of the carrier")
         new = [[0] * n for _ in range(n)]
@@ -458,7 +478,7 @@ def canonical_form(t: CayleyTable) -> CayleyTable:
     entries = list(_least_entries(t))
     n = t.n
     rows = tuple(tuple(entries[i * n : (i + 1) * n]) for i in range(n))
-    return CayleyTable._derived(rows, t.is_left_quasigroup)
+    return CayleyTable._derived(rows)
 
 
 def is_self_canonical(t: CayleyTable) -> bool:
@@ -469,19 +489,10 @@ def is_self_canonical(t: CayleyTable) -> bool:
 
 
 def _iso_candidates(t1: CayleyTable, t2: CayleyTable) -> list[list[int]]:
-    """Per-element candidate images, filtered by invariants of the row of x
-    under relabeling: the cycle type of a permutation row, else the sorted
-    multiplicities of its values, and idempotence."""
+    """Per-element candidate images: the elements whose rows have the same
+    invariants under relabeling (CayleyTable._row_profiles)."""
     n = t1.n
-
-    def profile(t: CayleyTable, x: int):
-        row = t.rows[x]
-        perm = t._ldiv_rows[x] is not None
-        shape = cycle_type(row) if perm else tuple(sorted(map(row.count, set(row))))
-        return perm, shape, row[x] == x
-
-    p1 = [profile(t1, x) for x in range(n)]
-    p2 = [profile(t2, x) for x in range(n)]
+    p1, p2 = t1._row_profiles, t2._row_profiles
     return [[y for y in range(n) if p2[y] == p1[x]] for x in range(n)]
 
 

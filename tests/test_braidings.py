@@ -173,6 +173,17 @@ def assert_builders_match_reference(t):
         assert all(type(row) is tuple and all(type(v) is int for v in row) for row in back.rows)
 
 
+def test_built_tables_compute_their_flag_when_it_is_first_read(table4, cyclic3):
+    """The builders leave the left-quasigroup flag of the tables they build to
+    the table, which computes it from its rows when it is first read."""
+    for t in (table4, cyclic3, CayleyTable(((0,),))):
+        for kind in BRAID_KINDS:
+            circle = to_braiding(t, kind)
+            for built in (circle.circ, circle.bullet, induced_bullet(t, kind).bullet):
+                assert "is_left_quasigroup" not in vars(built)
+                assert built.is_left_quasigroup == CayleyTable(built.rows).is_left_quasigroup
+
+
 def test_builders_match_reference_on_all_small_left_quasigroups():
     for n in (0, 1, 2, 3):  # 1 + 1 + 4 + 216 tables
         for t in all_left_quasigroups(n):

@@ -79,9 +79,22 @@ def test_non_integer_entries_rejected(rows):
         CayleyTable(rows)
 
 
+def test_from_rows_rejects_what_the_constructor_rejects():
+    for rows in ([[0, 1.5], [1, 0]], [[0, 1.0], [1, 0]], [["0", "1"], ["1", "0"]], [[0, None], [1, 0]]):
+        with pytest.raises(ValueError):
+            CayleyTable(tuple(map(tuple, rows)))
+        with pytest.raises(ValueError):
+            CayleyTable.from_rows(rows)
+    with pytest.raises(ValueError):
+        CayleyTable(((0, 1), (1, 0))).relabel((1.0, 0.0))
+
+
 def test_numpy_integer_entries_accepted():
     rows = np.array([[1, 0], [1, 0]], dtype=np.int64)
     assert CayleyTable.from_rows(rows) == CayleyTable(((1, 0), (1, 0)))
+    # bools are integers too, and come back as ints
+    assert CayleyTable.from_rows([[True, False], [True, False]]).rows == ((1, 0), (1, 0))
+    assert all(type(v) is int for row in CayleyTable.from_rows(rows).rows for v in row)
     t = CayleyTable(tuple(tuple(r) for r in rows))
     assert t.is_left_quasigroup and check_identity(t, "rack")
 
