@@ -56,7 +56,7 @@ def cmd_props(args) -> int:
     flags = tables.classify_structure(t)
     print("RESULT: ok")
     print("\n".join(_flag_words(flags)))
-    if flags.is_left_quasigroup:
+    if t.is_left_quasigroup:
         mg = perms.multiplication_groups(t)
         print(f"lmlt_order {mg.lmlt.order}")
         print(f"dis_plus_order {mg.dis_plus.order}")
