@@ -6,7 +6,10 @@ For every order n = 1..7 and every root (first row) of the search, runs
 visited, the tables accepted and the seconds taken.  For every order it also
 times a whole ``enumerate_tw_left_quasigroups(n)`` in a fresh interpreter,
 which pays the per-process caches as a CLI user does, and it times
-criterion 01 of the acceptance suite (ell(1..7)).
+criterion 01 of the acceptance suite (ell(1..7)).  For n = 8 and 9 it
+records the setup of the search alone: the seconds and peak RSS of a fresh
+interpreter that runs ``_roots(n)`` and then ``_search_root(n, root, 0.0)``
+for every root, whose passed deadline stops each root at its first node.
 
 Two checkouts are timed side by side in one process, each imported under
 its own package name, and the numbers go to BENCH_enumeration.json at the
@@ -17,9 +20,9 @@ repo root under the labels ``parent`` and ``change``:
 
 Each per-root time is the least of 5 rounds, the two checkouts in
 alternating order, so machine drift falls on both alike; the whole
-enumerations and criterion 01 run 3 times each, alternating.  The script
-stops if the checkouts accept different tables below a root, or leave
-different leaves.
+enumerations, the setups and criterion 01 run 3 times each, alternating.
+The script stops if the checkouts accept different tables below a root, or
+leave different leaves.
 """
 import argparse
 import json
@@ -34,6 +37,7 @@ from bench_checkers import load
 
 REPO = Path(__file__).resolve().parent.parent
 ORDERS = range(1, 8)
+SETUP_ORDERS = (8, 9)
 ROUNDS = 5
 CRITERION_01 = "tests/test_acceptance.py::test_criterion_01_enumeration_counts"
 ENUMERATE = (
@@ -41,6 +45,20 @@ ENUMERATE = (
     "tward.enumerate_tw_left_quasigroups(int(sys.argv[1]), budget_seconds=None); "
     "print(time.perf_counter() - t)"
 )
+SETUP = """
+import contextlib, resource, sys, time
+from tward import search
+from tward.errors import BudgetExceededError
+n = int(sys.argv[1])
+t = time.perf_counter()
+roots = search._roots(n)
+t_roots = time.perf_counter()
+for root in roots:
+    with contextlib.suppress(BudgetExceededError):
+        search._search_root(n, root, 0.0)
+t_setup = time.perf_counter()
+print(t_roots - t, t_setup - t_roots, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+"""
 
 
 def alternating(labels, i):
@@ -77,16 +95,16 @@ def root_rows(packages, n):
     return rows
 
 
-def fresh_seconds(checkouts, argv, read, runs=3):
-    """Seconds of a command in a fresh interpreter per checkout, alternating;
-    read maps the completed process and its wall time to the seconds kept."""
+def fresh_runs(checkouts, argv, read, runs=3):
+    """A command in a fresh interpreter per checkout, alternating; read maps
+    the completed process and its wall time to the value kept."""
     out = {label: [] for label in checkouts}
     for i in range(runs):
         for label in alternating(list(checkouts), i):
             env = dict(os.environ, PYTHONPATH=str(checkouts[label] / "src"))
             start = time.perf_counter()
             proc = subprocess.run(argv, cwd=checkouts[label], env=env, check=True, capture_output=True, text=True)
-            out[label].append(round(read(proc, time.perf_counter() - start), 3))
+            out[label].append(read(proc, time.perf_counter() - start))
     return out
 
 
@@ -104,8 +122,8 @@ def main() -> int:
     for n in ORDERS:
         rows = root_rows(packages, n)
         roots += rows
-        wall = fresh_seconds(checkouts, [sys.executable, "-c", ENUMERATE, str(n)],
-                             lambda proc, _: float(proc.stdout))
+        wall = fresh_runs(checkouts, [sys.executable, "-c", ENUMERATE, str(n)],
+                          lambda proc, _: round(float(proc.stdout), 3))
         orders.append(dict(
             n=n,
             leaves=sum(r["leaves"] for r in rows),
@@ -116,8 +134,20 @@ def main() -> int:
         ))
         print(f"n={n} totals: {orders[-1]}", flush=True)
 
-    crit = fresh_seconds(checkouts, [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", CRITERION_01],
-                         lambda proc, wall: wall)
+    setups = []
+    for n in SETUP_ORDERS:
+        runs = fresh_runs(checkouts, [sys.executable, "-c", SETUP, str(n)],
+                          lambda proc, _: [round(float(v), 3) for v in proc.stdout.split()])
+        setups.append(dict(
+            n=n,
+            roots_s={label: [r[0] for r in runs[label]] for label in checkouts},
+            setup_s={label: [r[1] for r in runs[label]] for label in checkouts},
+            peak_rss_mb={label: [round(r[2], 1) for r in runs[label]] for label in checkouts},
+        ))
+        print(f"n={n} setup: {setups[-1]}", flush=True)
+
+    crit = fresh_runs(checkouts, [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", CRITERION_01],
+                      lambda proc, wall: round(wall, 3))
     print("criterion 01 s:", crit)
 
     paragraphs = __doc__.split("\n\n")
@@ -126,6 +156,7 @@ def main() -> int:
         machine=dict(python=platform.python_version(), cpus=os.cpu_count(), platform=platform.platform()),
         criterion_01_wall_s=crit,
         orders=orders,
+        setup=setups,
         roots=roots,
     )
     args.out.write_text(json.dumps(data, indent=1) + "\n")

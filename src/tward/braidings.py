@@ -31,12 +31,8 @@ class Braiding:
         return self.circ.rows[x][y], self.bullet.rows[x][y]
 
     def to_text(self, comments=()) -> str:
-        lines = [f"# {c}" for c in comments]
-        lines.append(str(self.n))
-        lines.extend(" ".join(str(v) for v in row) for row in self.circ.rows)
-        lines.append("# bullet")
-        lines.extend(" ".join(str(v) for v in row) for row in self.bullet.rows)
-        return "\n".join(lines) + "\n"
+        bullet_rows = self.bullet.to_text().partition("\n")[2]  # no second order line
+        return f"{self.circ.to_text(comments)}# bullet\n{bullet_rows}"
 
     @classmethod
     def parse(cls, text: str) -> "Braiding":

@@ -1,13 +1,14 @@
 """Permutations on {0..n-1} and small explicit permutation groups."""
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import ClosureOverflowError, StructureError
-from .tables import CayleyTable, cycle_type, find_all_isomorphisms
+from .tables import CayleyTable, _perm_arrays, cycle_type, find_all_isomorphisms
 
 Perm = tuple[int, ...]
 
@@ -35,18 +36,24 @@ def is_perm(p: Sequence[int]) -> bool:
 
 
 @lru_cache(maxsize=4)
+def least_conjugate_rows(n: int) -> np.ndarray:
+    """For each row p of _perm_arrays(n)[1] (lex order), the first row of p's cycle type,
+    keyed by the fixed points of p, p^2, ..., p^n as digits in base n + 1."""
+    lex = _perm_arrays(n)[1]
+    key = np.zeros(len(lex), dtype=np.int64)
+    power = lex
+    for _ in range(n):
+        key = key * (n + 1) + (power == np.arange(n)).sum(axis=1)
+        power = np.take_along_axis(lex, power, axis=1)
+    first: dict[int, int] = {}
+    return np.array([first.setdefault(k, r) for r, k in enumerate(key.tolist())])
+
+
 def min_conjugates(n: int) -> dict[tuple[int, ...], Perm]:
-    """Lexicographically least permutation of each cycle type of degree n:
-    permutations() yields lexicographic order, so the first one of each."""
-    best: dict[tuple[int, ...], Perm] = {}
-    for p in itertools.permutations(range(n)):
-        best.setdefault(cycle_type(p), p)
-    return best
-
-
-def min_conjugate(p: Perm) -> Perm:
-    """Least element of the conjugacy class of p in the symmetric group."""
-    return min_conjugates(len(p))[cycle_type(p)]
+    """Least permutation of each cycle type of degree n: the rows that are their own least row."""
+    least = least_conjugate_rows(n)
+    own = _perm_arrays(n)[1][least == np.arange(len(least))]
+    return {cycle_type(p): p for p in map(tuple, own.tolist())}
 
 
 def format_perm(p: Perm) -> str:

@@ -9,8 +9,8 @@ which fixes most rows once a few are chosen.  Isomorph rejection keeps a
 completed table only if it equals its own canonical form; the search space
 is cut beforehand by two sound facts about canonical tables: row 0 is the
 least conjugate of any row, and every row is lexicographically >= row 0.
-The rows that pass both facts are the candidates of a root, and a row is
-allowed exactly when it is a candidate.
+With S_n held once per order in lexicographic order, a root is a row number
+r, and a row is allowed (a candidate) exactly when its least conjugate is >= r.
 
 Propagation runs on a worklist of newly set rows.  A node's parent is already
 at a fixpoint: every pair (x, x*y) of set rows agrees with a known C_y.  So
@@ -19,9 +19,9 @@ anything.  If C_y is unknown, it is learned from a pair with k as x, that
 is (k, k*y), or with k as x*y, that is any set x with x*y = k; once learned,
 one sweep over the set rows forces L_{x*y} for every x.  If C_y is known,
 only x = k is forced: a pair (x, k) was checked when x was popped, or by the
-sweep that learned C_y.  A forced row must be allowed (one dict lookup) and
-joins the worklist.  The fixpoint is unique, so the order of the worklist
-does not change the leaves.
+sweep that learned C_y.  A forced row must be allowed (a lookup in the root's
+mask) and joins the worklist.  The fixpoint is unique, so the order of the
+worklist does not change the leaves.
 
 At a branch point the first unset row j is tried only with the candidates
 that survive the same rule with x = j, applied to all candidates at once in
@@ -46,8 +46,9 @@ import numpy as np
 from .construct import TwqSpec, build_twq
 from .errors import BudgetExceededError, ConsistencyError
 from .groups import enumerate_groups, partition_number, q_count
-from .perms import Perm, compose, cycle_type, inverse, min_conjugates
-from .tables import CayleyTable, canonical_form, classify_structure, is_self_canonical
+# cycle_type is not called here but stays importable: the benchmark's tracer patches it
+from .perms import Perm, compose, cycle_type, least_conjugate_rows, min_conjugates
+from .tables import CayleyTable, _perm_arrays, canonical_form, classify_structure, is_self_canonical
 
 MAX_ENUM_ORDER = 9
 DEFAULT_BUDGET = 600.0
@@ -94,12 +95,15 @@ def _roots(n: int) -> list[Perm]:
     return sorted(min_conjugates(n).values())
 
 
-@lru_cache(maxsize=4)
-def _least_conjugate_pairs(n: int) -> tuple[tuple[Perm, Perm], ...]:
-    """Every permutation of degree n in lexicographic order, each with the
-    least conjugate of its cycle type."""
-    mc = min_conjugates(n)
-    return tuple((q, mc[cycle_type(q)]) for q in itertools.permutations(range(n)))
+@lru_cache(maxsize=2)
+def _order_tables(n: int) -> tuple[tuple[Perm, ...], dict[Perm, Perm], dict[Perm, int], np.ndarray]:
+    """S_n in lex order, shared by every root of order n: the rows as tuples, the inverse
+    and the row number of each, and their base-n codes, sorted as the rows are."""
+    invs, lex = _perm_arrays(n)
+    rows = tuple(map(tuple, lex.tolist()))
+    inverse_of = dict(zip(rows, map(tuple, invs.tolist())))
+    row_of = {q: r for r, q in enumerate(rows)}
+    return rows, inverse_of, row_of, lex @ n ** np.arange(n - 1, -1, -1, dtype=np.int64)
 
 
 def _search_root(
@@ -107,15 +111,12 @@ def _search_root(
 ) -> tuple[list[tuple[tuple[int, ...], ...]], int, int]:
     """All self-canonical twisted Ward left quasigroup tables with first row
     equal to ``root``, with the number of nodes and of leaves visited."""
-    cands = [q for q, least in _least_conjugate_pairs(n) if q >= root and least >= root]
-    inverses = {q: inverse(q) for q in cands}
-    # vectorized form of the candidates; they are in lex order, so their
-    # base-n codes are already sorted
-    C = np.array(cands, dtype=np.intp)
-    CI = np.argsort(C, axis=1)
+    perms, inverse_of, row_of, codes = _order_tables(n)
+    CI, C = _perm_arrays(n)
     powers = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    codes = C @ powers
-    code_of = dict(zip(cands, codes.tolist()))
+    # a row is allowed below root r iff its least conjugate is row r or later
+    allowed = least_conjugate_rows(n) >= row_of[root]
+    cands = np.flatnonzero(allowed)
     results: list[tuple[tuple[int, ...], ...]] = []
     nodes = leaves = 0
 
@@ -143,11 +144,11 @@ def _search_root(
                     lx = rows[x]
                     if lx is None:
                         continue
-                    forced = compose(cy, inverses[lx])
+                    forced = compose(cy, inverse_of[lx])
                     target = lx[y]
                     cur = rows[target]
                     if cur is None:
-                        if forced not in code_of:
+                        if not allowed[row_of[forced]]:
                             return False
                         rows[target] = forced
                         queue.append(target)
@@ -156,25 +157,22 @@ def _search_root(
         return True
 
     def survivors(rows: list[Perm | None], comp: list[Perm | None], j: int) -> np.ndarray:
-        """Indices of the candidates for row j that pass the rule with x = j
-        against every known C_y."""
-        # code of each set row; -1 marks an unset row, -2 the branch row j
-        row_code = np.array(
-            [-1 if r is None else code_of[r] for r in rows], dtype=np.int64
-        )
-        row_code[j] = -2
-        idx = np.arange(len(cands))
+        """Row numbers of the candidates for row j that pass the rule with
+        x = j against every known C_y."""
+        # row number of each set row; -1 marks an unset row, -2 the branch row j
+        want_of = np.array([-1 if r is None else row_of[r] for r in rows])
+        want_of[j] = -2
+        idx = cands
         for y, cy in enumerate(comp):
             if cy is None or not len(idx):
                 continue
-            # forced rows C_y q^{-1} of the candidates q that survive so far
-            fc = np.array(cy, dtype=np.intp)[CI[idx]] @ powers
-            pos = np.minimum(np.searchsorted(codes, fc), len(codes) - 1)
-            want = row_code[C[idx, y]]
+            # row number of each forced row C_y q^{-1}, a permutation, so its code is found
+            forced = np.searchsorted(codes, np.array(cy, dtype=np.intp)[CI[idx]] @ powers)
+            want = want_of[C[idx, y]]
             idx = idx[
-                (codes[pos] == fc)
-                & ((want < 0) | (want == fc))
-                & ((want != -2) | (fc == codes[idx]))
+                allowed[forced]
+                & ((want < 0) | (want == forced))
+                & ((want != -2) | (forced == idx))
             ]
         return idx
 
@@ -198,12 +196,15 @@ def _search_root(
             return
         j = rows.index(None)
         for i in survivors(rows, comp, j).tolist():
-            rows[j] = cands[i]
+            rows[j] = perms[i]
             rec(rows, comp, j)
 
     start: list[Perm | None] = [None] * n
     start[0] = root
-    rec(start, [None] * n, 0)
+    try:
+        rec(start, [None] * n, 0)
+    finally:
+        del rec  # rec refers to itself: break the cycle, so its closure is freed now
     return results, nodes, leaves
 
 

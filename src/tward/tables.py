@@ -183,7 +183,7 @@ class CayleyTable:
     def to_text(self, comments: Sequence[str] = ()) -> str:
         lines = [f"# {c}" for c in comments]
         lines.append(str(self.n))
-        lines.extend(" ".join(str(v) for v in row) for row in self.rows)
+        lines.extend(" ".join(f"{v:d}" for v in row) for row in self.rows)  # bools as ints
         return "\n".join(lines) + "\n"
 
     @classmethod

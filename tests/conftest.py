@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from tward import CayleyTable
+from tward.perms import cycle_type
 
 
 def pytest_addoption(parser):
@@ -61,6 +62,15 @@ def all_left_quasigroups(n):
     perms = list(itertools.permutations(range(n)))
     for rows in itertools.product(perms, repeat=n):
         yield CayleyTable(rows)
+
+
+def reference_min_conjugates(n):
+    """Least permutation of each cycle type of degree n, keyed by the type:
+    permutations() yields lexicographic order, so the first one of each."""
+    best = {}
+    for p in itertools.permutations(range(n)):
+        best.setdefault(cycle_type(p), p)
+    return best
 
 
 @pytest.fixture(scope="session")

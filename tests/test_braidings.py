@@ -35,6 +35,13 @@ def test_braiding_text_round_trip(table4):
         Braiding.parse(table4.to_text())  # missing bullet block
 
 
+def test_braiding_with_bool_entries_round_trips():
+    t = CayleyTable(((0, True), (True, 0)))
+    b = Braiding(circ=t, bullet=t)
+    assert b.to_text() == "2\n0 1\n1 0\n# bullet\n0 1\n1 0\n"
+    assert Braiding.parse(b.to_text()) == b
+
+
 def test_braiding_size_mismatch(table4, cyclic3):
     with pytest.raises(ValueError):
         Braiding(circ=table4, bullet=cyclic3)

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +12,9 @@ from tward import (
     dis_element_form,
     is_regular,
 )
+from conftest import reference_min_conjugates
 from tward.errors import ClosureOverflowError, IdentityViolationError
+from tward.groups import partition_number
 from tward.perms import (
     compose,
     cycle_type,
@@ -19,7 +23,7 @@ from tward.perms import (
     inverse,
     is_group_isotope,
     is_perm,
-    min_conjugate,
+    least_conjugate_rows,
     min_conjugates,
     multiplication_groups,
     parse_perm,
@@ -49,14 +53,18 @@ def test_cycle_type():
     assert cycle_type(identity_perm(4)) == (1, 1, 1, 1)
 
 
-@given(perm5, st.data())
-@settings(deadline=None)
-def test_min_conjugate_is_class_invariant(p, data):
-    n = len(p)
-    g = tuple(data.draw(st.permutations(range(n))))
-    conj = compose(compose(g, p), inverse(g))
-    assert min_conjugate(conj) == min_conjugate(p)
-    assert min_conjugate(p) <= p
+@pytest.mark.parametrize("n", range(8))
+def test_least_conjugates_match_reference(n):
+    mc = reference_min_conjugates(n)
+    assert list(min_conjugates(n).items()) == list(mc.items())
+    perms = list(itertools.permutations(range(n)))
+    row_of = {p: r for r, p in enumerate(perms)}
+    assert least_conjugate_rows(n).tolist() == [row_of[mc[cycle_type(p)]] for p in perms]
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_one_least_conjugate_per_partition(n):
+    assert len(min_conjugates(n)) == partition_number(n)
 
 
 def test_min_conjugates_cover_all_cycle_types():

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import itertools
 import types
 
@@ -12,9 +13,10 @@ from tward import (
     table_isomorphic,
     twq_catalog_specs,
 )
+from conftest import reference_min_conjugates
 from tward import search
 from tward.errors import BudgetExceededError, ConsistencyError
-from tward.perms import compose, cycle_type, inverse, min_conjugates
+from tward.perms import compose, cycle_type, inverse
 from tward.tables import CayleyTable, is_self_canonical
 
 ELL_EXPECTED = {1: 1, 2: 3, 3: 5, 4: 14, 5: 11, 6: 31}
@@ -27,7 +29,7 @@ def _reference_leaves(n, root):
     L_{x*y} = L_{y*y} L_y L_x^{-1} until nothing changes, and branches on the
     first unset row over every candidate; no worklist and no candidate filter.
     """
-    mc = min_conjugates(n)
+    mc = reference_min_conjugates(n)
     cands = [
         q
         for q in itertools.permutations(range(n))
@@ -92,6 +94,21 @@ def test_search_matches_full_sweep_reference(monkeypatch):
             accepted = [t for t in expected if is_self_canonical(CayleyTable(t))]
             assert sorted(rows) == sorted(accepted)
             assert nodes >= leaves
+
+
+@pytest.mark.parametrize("deadline", [None, 0.0])
+def test_search_root_leaves_no_cyclic_garbage(deadline):
+    gc.collect()
+    gc.disable()
+    try:
+        for root in search._roots(5):
+            try:
+                search._search_root(5, root, deadline)
+            except BudgetExceededError:
+                pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_search_counters(enum_reports):

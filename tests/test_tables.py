@@ -51,6 +51,12 @@ def test_parse_round_trip(table4):
     assert CayleyTable.parse(text) == table4
 
 
+def test_bool_entries_are_written_as_ints():
+    t = CayleyTable(((0, True), (True, 0)))
+    assert t.to_text() == "2\n0 1\n1 0\n"
+    assert CayleyTable.parse(t.to_text()) == t
+
+
 def test_parse_errors():
     with pytest.raises(ValueError):
         CayleyTable.parse("")
