@@ -108,8 +108,6 @@ def _parse_block_family(text: str) -> construct.BlockFamily:
     if not data:
         raise ValueError("empty block family file")
     x_size, a_size = (int(v) for v in data[0].split())
-    if x_size < 1 or a_size < 1:
-        raise ValueError(f"block sizes must be at least 1, got {x_size} {a_size}")
     if len(data) < 1 + x_size:
         raise ValueError(f"expected {x_size} bijection lines, got {len(data) - 1}")
     maps = tuple(perms.parse_perm(ln) for ln in data[1 : 1 + x_size])

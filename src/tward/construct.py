@@ -100,6 +100,8 @@ def build_affine(
     if not group.is_abelian():
         raise ValueError("affine construction requires an abelian group")
     n = group.n
+    if not (0 <= c < n):
+        raise ValueError("constant c out of range")
     if len(phi) != n or any(not (0 <= v < n) for v in phi):
         raise ValueError("phi image sequence out of range")
     r = group.table.rows
@@ -138,6 +140,8 @@ class BlockFamily:
     maps: tuple[Perm, ...]
 
     def __post_init__(self):
+        if self.x_size < 1 or self.a_size < 1:
+            raise ValueError(f"block sizes must be at least 1, got {self.x_size} {self.a_size}")
         if len(self.maps) != self.x_size:
             raise ValueError("need one bijection per element of X")
         m = self.x_size * self.a_size

@@ -49,13 +49,6 @@ def least_conjugate_rows(n: int) -> np.ndarray:
     return np.array([first.setdefault(k, r) for r, k in enumerate(key.tolist())])
 
 
-def min_conjugates(n: int) -> dict[tuple[int, ...], Perm]:
-    """Least permutation of each cycle type of degree n: the rows that are their own least row."""
-    least = least_conjugate_rows(n)
-    own = _perm_arrays(n)[1][least == np.arange(len(least))]
-    return {cycle_type(p): p for p in map(tuple, own.tolist())}
-
-
 def format_perm(p: Perm) -> str:
     return " ".join(str(v) for v in p)
 

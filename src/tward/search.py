@@ -9,8 +9,13 @@ which fixes most rows once a few are chosen.  Isomorph rejection keeps a
 completed table only if it equals its own canonical form; the search space
 is cut beforehand by two sound facts about canonical tables: row 0 is the
 least conjugate of any row, and every row is lexicographically >= row 0.
-With S_n held once per order in lexicographic order, a root is a row number
-r, and a row is allowed (a candidate) exactly when its least conjugate is >= r.
+With S_n held once per order in lexicographic order, a row is its row
+number, a root is a row r that is its own least conjugate, and a row is
+allowed (a candidate) exactly when its least conjugate is >= r.
+
+The search below a root is one loop over a stack of nodes, each a value
+(rows, comp, k): each row's number (-1 while unset), the C_y known to its
+parent, and the row k it set, which starts propagation on a copy of comp.
 
 Propagation runs on a worklist of newly set rows.  A node's parent is already
 at a fixpoint: every pair (x, x*y) of set rows agrees with a known C_y.  So
@@ -47,7 +52,7 @@ from .construct import TwqSpec, build_twq
 from .errors import BudgetExceededError, ConsistencyError
 from .groups import enumerate_groups, partition_number, q_count
 # cycle_type is not called here but stays importable: the benchmark's tracer patches it
-from .perms import Perm, compose, cycle_type, least_conjugate_rows, min_conjugates
+from .perms import Perm, compose, cycle_type, least_conjugate_rows
 from .tables import CayleyTable, _perm_arrays, canonical_form, classify_structure, is_self_canonical
 
 MAX_ENUM_ORDER = 9
@@ -91,19 +96,23 @@ class EnumerationReport:
 
 
 def _roots(n: int) -> list[Perm]:
-    """Candidate first rows: least conjugates, one per cycle type."""
-    return sorted(min_conjugates(n).values())
+    """Candidate first rows: the rows that are their own least conjugate, in lex order."""
+    least = least_conjugate_rows(n)
+    return list(map(tuple, _perm_arrays(n)[1][least == np.arange(len(least))].tolist()))
 
 
 @lru_cache(maxsize=2)
-def _order_tables(n: int) -> tuple[tuple[Perm, ...], dict[Perm, Perm], dict[Perm, int], np.ndarray]:
-    """S_n in lex order, shared by every root of order n: the rows as tuples, the inverse
-    and the row number of each, and their base-n codes, sorted as the rows are."""
+def _order_tables(n: int) -> tuple[tuple[Perm, ...], tuple[Perm, ...], dict[Perm, int], np.ndarray, np.ndarray]:
+    """S_n in lex order, shared by every root of order n: the rows as tuples, the
+    inverse of each row by row number, the row number of each row, the base-n
+    place values and the rows' base-n codes, sorted as the rows are."""
     invs, lex = _perm_arrays(n)
     rows = tuple(map(tuple, lex.tolist()))
-    inverse_of = dict(zip(rows, map(tuple, invs.tolist())))
-    row_of = {q: r for r, q in enumerate(rows)}
-    return rows, inverse_of, row_of, lex @ n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    powers = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    codes = lex @ powers
+    # an inverse is a row too, so it shares that row's tuple
+    inverses = tuple(map(rows.__getitem__, np.searchsorted(codes, invs @ powers).tolist()))
+    return rows, inverses, {q: r for r, q in enumerate(rows)}, powers, codes
 
 
 def _search_root(
@@ -111,44 +120,43 @@ def _search_root(
 ) -> tuple[list[tuple[tuple[int, ...], ...]], int, int]:
     """All self-canonical twisted Ward left quasigroup tables with first row
     equal to ``root``, with the number of nodes and of leaves visited."""
-    perms, inverse_of, row_of, codes = _order_tables(n)
+    perms, inverses, row_of, powers, codes = _order_tables(n)
     CI, C = _perm_arrays(n)
-    powers = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
     # a row is allowed below root r iff its least conjugate is row r or later
     allowed = least_conjugate_rows(n) >= row_of[root]
     cands = np.flatnonzero(allowed)
     results: list[tuple[tuple[int, ...], ...]] = []
     nodes = leaves = 0
 
-    def propagate(rows: list[Perm | None], comp: list[Perm | None], queue: list[int]) -> bool:
+    def propagate(rows: list[int], comp: list[Perm | None], queue: list[int]) -> bool:
         while queue:
             k = queue.pop()
-            lk = rows[k]
+            lk = perms[rows[k]]
             for y in range(n):
                 cy = comp[y]
                 if cy is not None:
                     xs: range | tuple[int] = (k,)
                 else:
                     # learn C_y from (k, k*y), else from some (x, k) with x*y = k
-                    lky = rows[lk[y]]
-                    if lky is not None:
-                        cy = compose(lky, lk)
+                    rky = rows[lk[y]]
+                    if rky >= 0:
+                        cy = compose(perms[rky], lk)
                     else:
-                        lx = next((r for r in rows if r is not None and r[y] == k), None)
+                        lx = next((perms[r] for r in rows if r >= 0 and perms[r][y] == k), None)
                         if lx is None:
                             continue
                         cy = compose(lk, lx)
                     comp[y] = cy
                     xs = range(n)
                 for x in xs:
-                    lx = rows[x]
-                    if lx is None:
+                    rx = rows[x]
+                    if rx < 0:
                         continue
-                    forced = compose(cy, inverse_of[lx])
-                    target = lx[y]
+                    forced = row_of[compose(cy, inverses[rx])]
+                    target = perms[rx][y]
                     cur = rows[target]
-                    if cur is None:
-                        if not allowed[row_of[forced]]:
+                    if cur < 0:
+                        if not allowed[forced]:
                             return False
                         rows[target] = forced
                         queue.append(target)
@@ -156,11 +164,11 @@ def _search_root(
                         return False
         return True
 
-    def survivors(rows: list[Perm | None], comp: list[Perm | None], j: int) -> np.ndarray:
+    def survivors(rows: list[int], comp: list[Perm | None], j: int) -> np.ndarray:
         """Row numbers of the candidates for row j that pass the rule with
         x = j against every known C_y."""
         # row number of each set row; -1 marks an unset row, -2 the branch row j
-        want_of = np.array([-1 if r is None else row_of[r] for r in rows])
+        want_of = np.array(rows)
         want_of[j] = -2
         idx = cands
         for y, cy in enumerate(comp):
@@ -176,35 +184,29 @@ def _search_root(
             ]
         return idx
 
-    def rec(rows: list[Perm | None], comp: list[Perm | None], k: int) -> None:
-        nonlocal nodes, leaves
+    start = [row_of[root]] + [-1] * (n - 1)
+    stack: list[tuple[list[int], list[Perm | None], int]] = [(start, [None] * n, 0)]
+    while stack:
         # polled on the first node, so a root never starts past the deadline
         if deadline is not None and nodes % 256 == 0 and time.monotonic() >= deadline:
             raise BudgetExceededError(
                 f"enumeration budget exceeded at order {n}", nodes=nodes, leaves=leaves
             )
         nodes += 1
-        rows = list(rows)
+        rows, comp, k = stack.pop()
         comp = list(comp)
         if not propagate(rows, comp, [k]):
-            return
-        if None not in rows:
+            continue
+        if -1 not in rows:
             leaves += 1
-            table = CayleyTable._derived(tuple(rows))  # type: ignore[arg-type]
+            table = CayleyTable._derived(tuple(map(perms.__getitem__, rows)))
             if is_self_canonical(table):
                 results.append(table.rows)
-            return
-        j = rows.index(None)
-        for i in survivors(rows, comp, j).tolist():
-            rows[j] = perms[i]
-            rec(rows, comp, j)
-
-    start: list[Perm | None] = [None] * n
-    start[0] = root
-    try:
-        rec(start, [None] * n, 0)
-    finally:
-        del rec  # rec refers to itself: break the cycle, so its closure is freed now
+            continue
+        # children in reverse, so they pop in candidate order; they share comp
+        j = rows.index(-1)
+        for i in reversed(survivors(rows, comp, j).tolist()):
+            stack.append((rows[:j] + [i] + rows[j + 1 :], comp, j))
     return results, nodes, leaves
 
 
@@ -239,7 +241,7 @@ def enumerate_tw_left_quasigroups(
     parallel = threads > 1 and len(roots) > 1
     all_rows: list[tuple[tuple[int, ...], ...]] = []
     stats: list[RootStats] = []
-    with ProcessPoolExecutor(threads) if parallel else contextlib.nullcontext() as pool:
+    with ProcessPoolExecutor(min(threads, len(roots))) if parallel else contextlib.nullcontext() as pool:
         jobs = (itertools.repeat(n), roots, itertools.repeat(deadline))
         try:
             for rows, root_stats in (pool.map if parallel else map)(_timed_root, *jobs):

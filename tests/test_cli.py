@@ -296,6 +296,13 @@ def test_construct_block_empty_family(capsys, tmp_path):
     assert code == 2 and out.startswith("RESULT: error")
 
 
+@pytest.mark.parametrize("c", ["3", "-1"])
+def test_construct_affine_constant_out_of_range(capsys, cyclic3_file, c):
+    argv = ["construct", "affine", cyclic3_file, "--phi", "0 0 0", "--psi", "0 1 2", "--c", c]
+    code, out = run(capsys, *argv)
+    assert code == 2 and out.startswith("RESULT: error")
+
+
 def test_check_extra_row(capsys, tmp_path):
     path = tmp_path / "extra.tbl"
     path.write_text(TABLE4.to_text() + "0 1 2 3\n")

@@ -110,6 +110,12 @@ def test_build_affine_rejects_bad_input():
         build_affine(s3, identity_perm(6), identity_perm(6), 0)
 
 
+@pytest.mark.parametrize("c", [4, -1])
+def test_build_affine_rejects_constant_out_of_range(c):
+    with pytest.raises(ValueError, match="constant c out of range"):
+        build_affine(_cyclic_group(4), (0, 3, 2, 1), (0, 1, 2, 3), c)
+
+
 def test_build_permutational():
     t = build_permutational(3, (2, 0, 1))
     assert t.rows == ((2, 0, 1),) * 3
@@ -137,6 +143,12 @@ def test_block_rejection():
     with pytest.raises(BlockRejectionError) as exc:
         build_block(fam)
     assert len(exc.value.witness) == 4
+
+
+@pytest.mark.parametrize("x_size, a_size, maps", [(0, 1, ()), (1, 0, ((),))])
+def test_block_family_rejects_empty_sizes(x_size, a_size, maps):
+    with pytest.raises(ValueError, match="at least 1"):
+        BlockFamily(x_size=x_size, a_size=a_size, maps=maps)
 
 
 def test_decompose_needs_identity(cyclic3):

@@ -13,6 +13,7 @@ from tward import (
     is_regular,
 )
 from conftest import reference_min_conjugates
+from tward import search
 from tward.errors import ClosureOverflowError, IdentityViolationError
 from tward.groups import partition_number
 from tward.perms import (
@@ -24,7 +25,6 @@ from tward.perms import (
     is_group_isotope,
     is_perm,
     least_conjugate_rows,
-    min_conjugates,
     multiplication_groups,
     parse_perm,
 )
@@ -56,7 +56,7 @@ def test_cycle_type():
 @pytest.mark.parametrize("n", range(8))
 def test_least_conjugates_match_reference(n):
     mc = reference_min_conjugates(n)
-    assert list(min_conjugates(n).items()) == list(mc.items())
+    assert search._roots(n) == sorted(mc.values())
     perms = list(itertools.permutations(range(n)))
     row_of = {p: r for r, p in enumerate(perms)}
     assert least_conjugate_rows(n).tolist() == [row_of[mc[cycle_type(p)]] for p in perms]
@@ -64,13 +64,13 @@ def test_least_conjugates_match_reference(n):
 
 @pytest.mark.parametrize("n", range(9))
 def test_one_least_conjugate_per_partition(n):
-    assert len(min_conjugates(n)) == partition_number(n)
+    assert len(search._roots(n)) == partition_number(n)
 
 
-def test_min_conjugates_cover_all_cycle_types():
-    mc = min_conjugates(4)
-    assert set(mc) == {(1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,)}
-    assert mc[(4,)] == (1, 2, 3, 0)
+def test_roots_cover_all_cycle_types():
+    by_type = {cycle_type(p): p for p in search._roots(4)}
+    assert set(by_type) == {(1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,)}
+    assert by_type[(4,)] == (1, 2, 3, 0)
 
 
 def test_perm_text_round_trip():

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import gc
 import itertools
@@ -142,6 +143,25 @@ def test_per_root_counts_no_worse_than_x_equals_y_rule(enum_reports):
         assert [r.root for r in report.roots] == search._roots(n)
         for stats, (nodes, leaves) in zip(report.roots, expected, strict=True):
             assert stats.leaves == leaves and stats.nodes <= nodes
+
+
+# (nodes, leaves, accepted) of each root, in the order of search._roots(n)
+PER_ROOT_COUNTS = {
+    1: [(1, 1, 1)],
+    2: [(3, 2, 2), (2, 1, 1)],
+    3: [(8, 2, 2), (6, 2, 2), (3, 1, 1)],
+    4: [(33, 11, 4), (27, 5, 4), (12, 2, 2), (12, 5, 2), (6, 3, 2)],
+    5: [(240, 7, 2), (132, 1, 1), (98, 1, 1), (85, 3, 2), (47, 3, 3), (24, 1, 1), (13, 1, 1)],
+    6: [
+        (2644, 201, 5), (1342, 13, 2), (782, 9, 3), (1423, 29, 7), (800, 5, 2), (458, 1, 1),
+        (270, 1, 1), (320, 25, 4), (118, 1, 1), (63, 13, 3), (49, 4, 2),
+    ],
+}
+
+
+def test_per_root_counts_pinned(enum_reports):
+    for n, expected in PER_ROOT_COUNTS.items():
+        assert [(r.nodes, r.leaves, r.accepted) for r in enum_reports(n).roots] == expected
 
 
 def test_report_sums_its_roots(enum_reports):
@@ -289,6 +309,21 @@ def test_threaded_run_matches_serial(enum_reports):
         return [(r.root, r.nodes, r.leaves, r.accepted) for r in report.roots]
 
     assert counts(parallel) == counts(serial)
+
+
+def test_workers_capped_by_roots(monkeypatch, enum_reports):
+    """No more workers are asked for than there are roots; the stand-in runs
+    the roots in this process, so no process is started."""
+    asked = []
+
+    def in_process(workers):
+        asked.append(workers)
+        return concurrent.futures.ThreadPoolExecutor(1)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", in_process)
+    report = enumerate_tw_left_quasigroups(3, threads=64)
+    assert asked and asked[0] <= len(search._roots(3))
+    assert report.representatives == enum_reports(3).representatives
 
 
 def test_counts_row_threads(enum_reports):
