@@ -10,9 +10,11 @@ it fails early.  At the same orders it times ``to_braiding`` and
 ``CayleyTable`` build of their input.  In the catalog layer it times
 ``canonical_form`` on the catalog tables of orders 8 and 9,
 ``twq_spec_isomorphic`` over all ordered pairs of catalog specs of order 8,
-and ``_perm_arrays(9)`` with its cache cleared; a row that makes several
-calls gives the seconds per call.  It also times criterion 06 of the
-acceptance suite.
+``table_isomorphic`` over all ordered pairs of catalog tables of order 8,
+``find_all_isomorphisms`` on C2^4 (the xor table of order 16, 20,160
+automorphisms) and ``_perm_arrays(9)`` with its cache cleared; a row that
+makes several calls gives the seconds per call.  It also times criterion
+06 of the acceptance suite.
 
 Two checkouts are timed side by side in one process, each imported under
 its own package name, and the numbers go to BENCH_checkers.json at the repo
@@ -166,8 +168,9 @@ def perm_arrays_digest(perms, invs):
 
 
 def catalog_cases(tw):
-    """Rows of the catalog layer: canonical forms, spec isomorphism and the
-    permutation arrays of the canonical-form filter."""
+    """Rows of the catalog layer: canonical forms, spec and table isomorphism,
+    all automorphisms of C2^4 and the permutation arrays of the canonical-form
+    filter."""
     perm_arrays = tw.tables._perm_arrays
     rows = []
     for n in (8, 9):
@@ -187,6 +190,26 @@ def catalog_cases(tw):
         function="twq_spec_isomorphic", kind="catalog pairs", n=8, case=f"{len(specs) ** 2} pairs",
         table="catalog specs", holds=None, triples_to_verdict=None, calls=len(specs) ** 2,
         output=digest(matrix()), call=matrix,
+    ))
+    tables = [tw.build_twq(s) for s in specs]
+
+    def table_matrix():
+        return [[tw.table_isomorphic(a, b) for b in tables] for a in tables]
+
+    rows.append(dict(
+        function="table_isomorphic", kind="catalog pairs", n=8, case=f"{len(tables) ** 2} pairs",
+        table="build_twq", holds=None, triples_to_verdict=None, calls=len(tables) ** 2,
+        output=digest(table_matrix()), call=table_matrix,
+    ))
+    xor = tw.CayleyTable(tuple(tuple(x ^ y for y in range(16)) for x in range(16)))
+
+    def automorphisms():
+        return list(tw.tables.find_all_isomorphisms(xor, xor))
+
+    rows.append(dict(
+        function="find_all_isomorphisms", kind="all automorphisms", n=16, case="C2^4",
+        table="x xor y", holds=None, triples_to_verdict=None, calls=1,
+        output=digest(automorphisms()), call=automorphisms,
     ))
     rows.append(dict(
         function="_perm_arrays", kind="cache cleared", n=9, case="fresh arrays", table="-",

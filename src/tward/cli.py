@@ -102,15 +102,18 @@ def cmd_construct(args) -> int:
 
 
 def _parse_block_family(text: str) -> construct.BlockFamily:
-    """Family file: first line 'x_size a_size', then x_size permutation lines
-    (bijections of the flattened product carrier)."""
-    data = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+    """Family file: first line 'x_size a_size', then exactly x_size permutation
+    lines (bijections of the flattened product carrier); comments as in tables."""
+    data = tables._data_lines(text)
     if not data:
         raise ValueError("empty block family file")
-    x_size, a_size = (int(v) for v in data[0].split())
-    if len(data) < 1 + x_size:
+    try:
+        x_size, a_size = map(int, data[0].split())
+    except ValueError:
+        raise ValueError(f"expected 'x_size a_size', got {data[0]!r}") from None
+    if len(data) != 1 + x_size:
         raise ValueError(f"expected {x_size} bijection lines, got {len(data) - 1}")
-    maps = tuple(perms.parse_perm(ln) for ln in data[1 : 1 + x_size])
+    maps = tuple(perms.parse_perm(ln) for ln in data[1:])
     return construct.BlockFamily(x_size=x_size, a_size=a_size, maps=maps)
 
 

@@ -14,7 +14,7 @@ from .perms import (
     conjugacy_classes,
     identity_perm,
 )
-from .tables import CayleyTable, find_isomorphism
+from .tables import CayleyTable, table_isomorphic
 
 MAX_GROUP_ORDER = 12
 
@@ -173,9 +173,7 @@ def enumerate_groups(n: int) -> tuple[FiniteGroup, ...]:
                     if alpha[h0] != h0 or apow != _inner_automorphism(h, h0):
                         continue
                     g = as_group(_cyclic_extension_table(h, p, alpha, h0))
-                    if not any(
-                        find_isomorphism(g.table, other.table) for other in found
-                    ):
+                    if not any(table_isomorphic(g.table, other.table) for other in found):
                         found.append(g)
     found.sort(key=lambda g: g.table.rows)
     return tuple(found)

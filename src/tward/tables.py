@@ -392,7 +392,7 @@ def quadrangle_criterion(t: CayleyTable) -> bool:
 # one filter: it starts from the relabelings that give the least entry (0, 0),
 # found in closed form, and, entry by entry in row-major order, keeps only
 # the relabelings whose entry there is least.  Isomorphisms are found by a
-# separate backtracking search over images.
+# separate depth-first search over partial maps.
 # ---------------------------------------------------------------------------
 
 
@@ -488,85 +488,57 @@ def is_self_canonical(t: CayleyTable) -> bool:
     return all(a == b for a, b in zip(_least_entries(t), own))
 
 
-def _iso_candidates(t1: CayleyTable, t2: CayleyTable) -> list[list[int]]:
-    """Per-element candidate images: the elements whose rows have the same
-    invariants under relabeling (CayleyTable._row_profiles)."""
-    n = t1.n
-    p1, p2 = t1._row_profiles, t2._row_profiles
-    return [[y for y in range(n) if p2[y] == p1[x]] for x in range(n)]
+def find_isomorphism(t1: CayleyTable, t2: CayleyTable) -> Optional[tuple[int, ...]]:
+    return next(find_all_isomorphisms(t1, t2), None)
 
 
-def _iso_search(t1: CayleyTable, t2: CayleyTable):
-    """Backtracking search for bijections pi with pi(x*y) = pi(x)*'pi(y).
+def find_all_isomorphisms(t1: CayleyTable, t2: CayleyTable):
+    """Yield every bijection pi with pi(x*y) = pi(x)*'pi(y), as an image tuple.
 
-    Yields image tuples; assignment of a pair propagates all forced products.
+    A depth-first loop over a stack of nodes (images, queue): the parent's
+    images, None where unset, and the pairs x -> y the node sets.  Setting a
+    pair queues the products it forces; a conflict drops the node.  The
+    candidate images of x are the elements whose rows have the same invariants
+    under relabeling (CayleyTable._row_profiles).
     """
     n = t1.n
     if n != t2.n:
         return
-    cands = _iso_candidates(t1, t2)
+    p1, p2 = t1._row_profiles, t2._row_profiles
+    cands = [[y for y in range(n) if p2[y] == p1[x]] for x in range(n)]
     if any(not c for c in cands):
         return
-    images: list[Optional[int]] = [None] * n
-    used = [False] * n
     r1, r2 = t1.rows, t2.rows
-
-    def assign(x: int, y: int) -> Optional[list[int]]:
-        """Assign pi(x)=y and propagate; returns undo list or None on fail."""
-        trail: list[int] = []
-        queue = [(x, y)]
+    stack: list[tuple[list[Optional[int]], list[tuple[int, int]]]] = [([None] * n, [])]
+    while stack:
+        images, queue = stack.pop()
+        images = images.copy()
+        used = set(images)
         while queue:
             a, b = queue.pop()
             cur = images[a]
             if cur is not None:
                 if cur != b:
-                    _undo(trail)
-                    return None
+                    break
                 continue
-            if used[b] or b not in cands[a]:
-                _undo(trail)
-                return None
+            if b in used or b not in cands[a]:
+                break
             images[a] = b
-            used[b] = True
-            trail.append(a)
+            used.add(b)
             for c in range(n):
                 ic = images[c]
                 if ic is None:
                     continue
                 queue.append((r1[a][c], r2[b][ic]))
                 queue.append((r1[c][a], r2[ic][b]))
-        return trail
-
-    def _undo(trail: list[int]) -> None:
-        for a in reversed(trail):
-            used[images[a]] = False
-            images[a] = None
-
-    def rec(start: int):
-        x = start
-        while x < n and images[x] is not None:
-            x += 1
-        if x == n:
-            yield tuple(images)  # type: ignore[arg-type]
-            return
-        for y in cands[x]:
-            if used[y]:
+        else:  # no conflict
+            if None not in images:
+                yield tuple(images)
                 continue
-            trail = assign(x, y)
-            if trail is None:
-                continue
-            yield from rec(x + 1)
-            _undo(trail)
-
-    yield from rec(0)
-
-
-def find_isomorphism(t1: CayleyTable, t2: CayleyTable) -> Optional[tuple[int, ...]]:
-    return next(_iso_search(t1, t2), None)
-
-
-def find_all_isomorphisms(t1: CayleyTable, t2: CayleyTable):
-    yield from _iso_search(t1, t2)
+            x = images.index(None)
+            for y in reversed(cands[x]):
+                if y not in used:
+                    stack.append((images, [(x, y)]))
 
 
 def table_isomorphic(t1: CayleyTable, t2: CayleyTable) -> bool:

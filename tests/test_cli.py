@@ -296,6 +296,21 @@ def test_construct_block_empty_family(capsys, tmp_path):
     assert code == 2 and out.startswith("RESULT: error")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1 2\n1 0\n0 1\n", "expected 1 bijection lines, got 2"),
+        ("1 2 3\n1 0\n", "expected 'x_size a_size', got '1 2 3'"),
+        ("x 2\n1 0\n", "expected 'x_size a_size', got 'x 2'"),
+    ],
+)
+def test_construct_block_malformed_family(capsys, tmp_path, text, message):
+    path = tmp_path / "bad.fam"
+    path.write_text(text)
+    code, out = run(capsys, "construct", "block", str(path))
+    assert code == 2 and out.splitlines() == [f"RESULT: error ({message})"]
+
+
 @pytest.mark.parametrize("c", ["3", "-1"])
 def test_construct_affine_constant_out_of_range(capsys, cyclic3_file, c):
     argv = ["construct", "affine", cyclic3_file, "--phi", "0 0 0", "--psi", "0 1 2", "--c", c]

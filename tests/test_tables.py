@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -22,9 +24,16 @@ from tward import (
 )
 from tward.construct import build_twq
 from tward.errors import IdentityViolationError, StructureError
+from tward.groups import enumerate_groups
 from tward.perms import automorphism_group
 from tward.search import twq_catalog_specs
-from tward.tables import IDENTITY_KINDS, _perm_arrays, find_all_isomorphisms, is_self_canonical
+from tward.tables import (
+    IDENTITY_KINDS,
+    _perm_arrays,
+    find_all_isomorphisms,
+    find_isomorphism,
+    is_self_canonical,
+)
 
 from conftest import all_left_quasigroups
 
@@ -343,16 +352,52 @@ def test_isomorphism_search(table4, cyclic3):
     assert sorted(autos) == [(0, 1, 2), (0, 2, 1)]
 
 
+def brute_isomorphisms(t, u):
+    """Plain oracle: the relabelings of t that give u, in lexicographic order."""
+    return [s for s in itertools.permutations(range(t.n)) if t.relabel(s) == u]
+
+
 def test_isomorphism_search_on_binary_operations_of_order_3():
     """Every 50th binary operation of order 3, most of them with rows that are
-    not permutations, is isomorphic to each of its relabelings, and its
+    not permutations, is isomorphic to each of its relabelings, the search
+    yields exactly the isomorphisms in lexicographic order, and its
     automorphisms are the relabelings that fix it."""
     perms = list(itertools.permutations(range(3)))
     for flat in list(itertools.product(range(3), repeat=9))[::50]:
         t = CayleyTable((flat[0:3], flat[3:6], flat[6:9]))
         for pi in perms:
-            assert table_isomorphic(t, t.relabel(pi)), (t.rows, pi)
+            u = t.relabel(pi)
+            assert table_isomorphic(t, u), (t.rows, pi)
+            assert list(find_all_isomorphisms(t, u)) == brute_isomorphisms(t, u), (t.rows, pi)
         assert automorphism_group(t).elements == {pi for pi in perms if t.relabel(pi) == t}
+
+
+def test_isomorphism_search_on_sampled_left_quasigroups_of_order_4():
+    """A seeded sample of order-4 left quasigroups, each paired with relabelings
+    of itself and with the other tables: the search yields exactly the
+    isomorphisms, in lexicographic order."""
+    rng = random.Random(4)
+    perms = list(itertools.permutations(range(4)))
+    sample = [CayleyTable(tuple(rng.choice(perms) for _ in range(4))) for _ in range(100)]
+    for i, t in enumerate(sample):
+        others = [t.relabel(pi) for pi in rng.sample(perms, 8)] + sample[i : i + 12]
+        for u in others:
+            assert list(find_all_isomorphisms(t, u)) == brute_isomorphisms(t, u), (t.rows, u.rows)
+
+
+def test_isomorphism_search_leaves_no_cyclic_garbage():
+    tables = [g.table for n in (6, 8) for g in enumerate_groups(n)]
+    gc.collect()
+    gc.disable()
+    try:
+        for t in tables:
+            for u in tables:
+                find_isomorphism(t, u)
+                table_isomorphic(t, u)
+            list(find_all_isomorphisms(t, t))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_exhaustive_iso_agrees_with_canonical_form():
