@@ -10,6 +10,9 @@ criterion 01 of the acceptance suite (ell(1..7)).  For n = 8 and 9 it
 records the setup of the search alone: the seconds and peak RSS of a fresh
 interpreter that runs ``_roots(n)`` and then ``_search_root(n, root, 0.0)``
 for every root, whose passed deadline stops each root at its first node.
+For n = 8 it runs one whole ``enumerate_tw_left_quasigroups(8, threads=2)``
+per checkout in a fresh interpreter and records its nodes, leaves, wall
+time and the root that took the most seconds.
 
 Two checkouts are timed side by side in one process, each imported under
 its own package name, and the numbers go to BENCH_enumeration.json at the
@@ -20,9 +23,10 @@ repo root under the labels ``parent`` and ``change``:
 
 Each per-root time is the least of 5 rounds, the two checkouts in
 alternating order, so machine drift falls on both alike; the whole
-enumerations, the setups and criterion 01 run 3 times each, alternating.
-The script stops if the checkouts accept different tables below a root, or
-leave different leaves.
+enumerations below n = 8, the setups and criterion 01 run 3 times each,
+alternating.  The script stops if the checkouts accept different tables
+below a root or at n = 8; the nodes and leaves may differ, as a pruning
+rule changes them.
 """
 import argparse
 import json
@@ -59,6 +63,19 @@ for root in roots:
 t_setup = time.perf_counter()
 print(t_roots - t, t_setup - t_roots, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 """
+WHOLE_ORDER = 8
+WHOLE = """
+import json, sys, time, tward
+t = time.perf_counter()
+report = tward.enumerate_tw_left_quasigroups(int(sys.argv[1]), budget_seconds=None, threads=2)
+wall = time.perf_counter() - t
+top = max(report.roots, key=lambda r: r.seconds)
+print(json.dumps(dict(
+    tables=[rep.rows for rep in report.representatives], nodes=report.nodes, leaves=report.leaves,
+    wall_s=round(wall, 2),
+    largest_root=dict(root=top.root, nodes=top.nodes, leaves=top.leaves, seconds=round(top.seconds, 2)),
+)))
+"""
 
 
 def alternating(labels, i):
@@ -80,17 +97,18 @@ def root_rows(packages, n):
                 tables, nodes, leaves = packages[label].search._search_root(n, root, None)
                 best[label] = min(best[label], time.perf_counter() - start)
                 found[label] = (sorted(tables), nodes, leaves)
-        tables, _, leaves = found[labels[0]]
-        for label in labels[1:]:
-            if (found[label][0], found[label][2]) != (tables, leaves):
-                raise SystemExit(f"the checkouts disagree at n = {n}, root {root}")
+        tables = found[labels[0]][0]
+        if any(found[label][0] != tables for label in labels[1:]):
+            raise SystemExit(f"the checkouts accept different tables at n = {n}, root {root}")
         rows.append(dict(
-            n=n, root=list(root), leaves=leaves, accepted=len(tables),
+            n=n, root=list(root), accepted=len(tables),
             nodes={label: found[label][1] for label in labels},
+            leaves={label: found[label][2] for label in labels},
             seconds={label: float(f"{best[label]:.3g}") for label in labels},
         ))
-        print(f"n={n} root {','.join(map(str, root))}: leaves {leaves} accepted {len(tables)}",
-              "  ".join(f"{label} {found[label][1]} nodes {best[label]:.4f} s" for label in labels),
+        print(f"n={n} root {','.join(map(str, root))}: accepted {len(tables)}",
+              "  ".join(f"{label} {found[label][1]} nodes {found[label][2]} leaves {best[label]:.4f} s"
+                        for label in labels),
               flush=True)
     return rows
 
@@ -126,9 +144,9 @@ def main() -> int:
                           lambda proc, _: round(float(proc.stdout), 3))
         orders.append(dict(
             n=n,
-            leaves=sum(r["leaves"] for r in rows),
             accepted=sum(r["accepted"] for r in rows),
             nodes={label: sum(r["nodes"][label] for r in rows) for label in checkouts},
+            leaves={label: sum(r["leaves"][label] for r in rows) for label in checkouts},
             root_seconds={label: round(sum(r["seconds"][label] for r in rows), 3) for label in checkouts},
             enumerate_wall_s=wall,
         ))
@@ -146,6 +164,14 @@ def main() -> int:
         ))
         print(f"n={n} setup: {setups[-1]}", flush=True)
 
+    whole = fresh_runs(checkouts, [sys.executable, "-c", WHOLE, str(WHOLE_ORDER)],
+                       lambda proc, _: json.loads(proc.stdout), runs=1)
+    whole = {label: runs[0] for label, runs in whole.items()}
+    tables = [w.pop("tables") for w in whole.values()]
+    if any(t != tables[0] for t in tables[1:]):
+        raise SystemExit(f"the checkouts accept different tables at n = {WHOLE_ORDER}")
+    print(f"n={WHOLE_ORDER} threads=2: {whole}", flush=True)
+
     crit = fresh_runs(checkouts, [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", CRITERION_01],
                       lambda proc, wall: round(wall, 3))
     print("criterion 01 s:", crit)
@@ -157,6 +183,7 @@ def main() -> int:
         criterion_01_wall_s=crit,
         orders=orders,
         setup=setups,
+        whole_order=dict(n=WHOLE_ORDER, threads=2, accepted=len(tables[0]), **whole),
         roots=roots,
     )
     args.out.write_text(json.dumps(data, indent=1) + "\n")

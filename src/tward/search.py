@@ -7,11 +7,24 @@ holds the rows set so far and, for each y, C_y once some set row x has its
 row L_{x*y} set too; every other set x then forces L_{x*y} = C_y L_x^{-1},
 which fixes most rows once a few are chosen.  Isomorph rejection keeps a
 completed table only if it equals its own canonical form; the search space
-is cut beforehand by two sound facts about canonical tables: row 0 is the
-least conjugate of any row, and every row is lexicographically >= row 0.
-With S_n held once per order in lexicographic order, a row is its row
-number, a root is a row r that is its own least conjugate, and a row is
+is cut beforehand by three sound facts about canonical tables: row 0 is the
+least conjugate of any row, every row is lexicographically >= row 0, and
+row 1 is least under the relabelings that fix 0 and 1 and commute with
+row 0.  With S_n held once per order in lexicographic order, a row is its
+row number, a root is a row r that is its own least conjugate, and a row is
 allowed (a candidate) exactly when its least conjugate is >= r.
+
+The third fact: a relabeling pi maps a table with rows L_x to the table
+with rows L'_{pi(x)} = pi L_x pi^{-1}.  If pi fixes 0 and 1 and pi r = r pi
+for the root r, the relabeled table has rows r, pi q pi^{-1}, ... where the
+table has rows r, q, ....  A self-canonical table is <= each of its
+relabelings, compared row by row, and the two tables agree in row 0, so
+q <= pi q pi^{-1}.  The search applies this at the root's branch point,
+where row 1 is the first unset row (propagating row 0 sets no other row);
+it removes only subtrees whose leaves are not self-canonical, so the canonical
+check still decides every leaf and the accepted tables do not change.  In lex
+order the rows that start 0, 1 are the first (n-2)! rows of S_n, so these pi
+are a slice of S_n's rows.
 
 The search below a root is one loop over a stack of nodes, each a value
 (rows, comp, k): each row's number (-1 while unset), the C_y known to its
@@ -40,6 +53,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -113,6 +127,23 @@ def _order_tables(n: int) -> tuple[tuple[Perm, ...], tuple[Perm, ...], dict[Perm
     # an inverse is a row too, so it shares that row's tuple
     inverses = tuple(map(rows.__getitem__, np.searchsorted(codes, invs @ powers).tolist()))
     return rows, inverses, {q: r for r, q in enumerate(rows)}, powers, codes
+
+
+def _least_row1(n: int, root: Perm, idx: np.ndarray) -> np.ndarray:
+    """The rows q among the row numbers idx with q <= pi q pi^-1 for every
+    relabeling pi that fixes 0 and 1 and commutes with root: the only rows
+    that can be row 1 of a self-canonical table whose row 0 is root."""
+    CI, C = _perm_arrays(n)
+    powers, codes = _order_tables(n)[3:]
+    # the rows that start 0, 1 come first in lex order, the identity first of all
+    stab = slice(1, math.factorial(max(n - 2, 0)))
+    r = np.array(root)
+    fixers = (C[stab][:, r] == r[C[stab]]).all(axis=1)
+    for pi, pinv in zip(C[stab][fixers], CI[stab][fixers]):
+        if not len(idx):
+            break
+        idx = idx[pi[C[idx][:, pinv]] @ powers >= codes[idx]]
+    return idx
 
 
 def _search_root(
@@ -205,7 +236,10 @@ def _search_root(
             continue
         # children in reverse, so they pop in candidate order; they share comp
         j = rows.index(-1)
-        for i in reversed(survivors(rows, comp, j).tolist()):
+        idx = survivors(rows, comp, j)
+        if j == 1:  # only at the root: propagating row 0 sets no other row
+            idx = _least_row1(n, root, idx)
+        for i in reversed(idx.tolist()):
             stack.append((rows[:j] + [i] + rows[j + 1 :], comp, j))
     return results, nodes, leaves
 

@@ -343,8 +343,8 @@ def test_enumerate_stats(capsys):
     lines = out.splitlines()
     assert code == 0 and lines[0] == "RESULT: 14"
     assert lines[1] == "n total perm quasi neither: 4 14 5 5 4"
-    stats = re.fullmatch(r"nodes (\d+) leaves 26 accepted 14", lines[2])
-    assert stats and int(stats[1]) >= 26
+    stats = re.fullmatch(r"nodes (\d+) leaves 23 accepted 14", lines[2])
+    assert stats and int(stats[1]) >= 23
 
 
 def test_enumerate_stats_per_root(capsys):

@@ -53,5 +53,5 @@ def test_ell8_law_free_search():
     report = enumerate_tw_left_quasigroups(8, budget_seconds=3600, threads=2)
     assert time.monotonic() - start < 3600
     assert report.summary_line() == "8 93 22 25 46"
-    assert (report.nodes, report.leaves) == (3_193_567, 8_212)
+    assert (report.nodes, report.leaves) == (874_314, 1_578)
     assert list(report.representatives) == fixture_tables()

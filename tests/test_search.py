@@ -1,9 +1,11 @@
 import concurrent.futures
 import dataclasses
+import functools
 import gc
 import itertools
 import types
 
+import numpy as np
 import pytest
 
 from tward import (
@@ -17,18 +19,20 @@ from tward import (
 from conftest import reference_min_conjugates
 from tward import search
 from tward.errors import BudgetExceededError, ConsistencyError
-from tward.perms import compose, cycle_type, inverse
+from tward.perms import compose, cycle_type, inverse, least_conjugate_rows
 from tward.tables import CayleyTable, is_self_canonical
 
 ELL_EXPECTED = {1: 1, 2: 3, 3: 5, 4: 14, 5: 11, 6: 31}
 
 
+@functools.cache
 def _reference_leaves(n, root):
     """Every complete table the full-sweep search reaches from ``root``.
 
     Each node re-sweeps all (x, y) pairs with the translation form
     L_{x*y} = L_{y*y} L_y L_x^{-1} until nothing changes, and branches on the
-    first unset row over every candidate; no worklist and no candidate filter.
+    first unset row over every candidate; no worklist, no candidate filter
+    and no row-1 rule.
     """
     mc = reference_min_conjugates(n)
     cands = [
@@ -75,10 +79,30 @@ def _reference_leaves(n, root):
             rec(rows)
 
     rec([root] + [None] * (n - 1))
-    return leaves
+    return tuple(leaves)
+
+
+@functools.cache
+def _row1_fixers(n, root):
+    """Every relabeling pi that fixes 0 and 1 and commutes with root, by
+    itertools over all of S_n."""
+    return [
+        pi
+        for pi in itertools.permutations(range(n))
+        if pi[:2] == tuple(range(min(n, 2))) and compose(pi, root) == compose(root, pi)
+    ]
+
+
+def _row1_rule(n, root, q):
+    """q <= pi q pi^-1 for every relabeling pi that fixes 0 and 1 and
+    commutes with root."""
+    return all(q <= compose(compose(pi, q), inverse(pi)) for pi in _row1_fixers(n, root))
 
 
 def test_search_matches_full_sweep_reference(monkeypatch):
+    """The search checks a subset of the full-sweep search's leaves and
+    accepts the same tables; every leaf it no longer reaches breaks the row-1
+    rule and is not self-canonical."""
     checked = []
 
     def recording(table):
@@ -91,10 +115,25 @@ def test_search_matches_full_sweep_reference(monkeypatch):
             checked.clear()
             rows, nodes, leaves = search._search_root(n, root, None)
             expected = _reference_leaves(n, root)
-            assert sorted(checked) == sorted(expected) and leaves == len(expected)
+            assert set(checked) <= set(expected) and leaves == len(checked) == len(set(checked))
             accepted = [t for t in expected if is_self_canonical(CayleyTable(t))]
             assert sorted(rows) == sorted(accepted)
+            for t in set(expected) - set(checked):
+                assert not _row1_rule(n, root, t[1]) and not is_self_canonical(CayleyTable(t))
             assert nodes >= leaves
+
+
+def test_row1_rule_matches_brute_force():
+    """The search's row-1 filter keeps exactly the allowed rows that the
+    itertools rule keeps, below every root."""
+    for n in range(1, 8):
+        perms = search._order_tables(n)[0]
+        for root in search._roots(n):
+            allowed = np.flatnonzero(least_conjugate_rows(n) >= perms.index(root))
+            kept = search._least_row1(n, root, allowed)
+            assert [perms[i] for i in kept] == [
+                perms[i] for i in allowed if _row1_rule(n, root, perms[i])
+            ]
 
 
 @pytest.mark.parametrize("deadline", [None, 0.0])
@@ -114,10 +153,11 @@ def test_search_root_leaves_no_cyclic_garbage(deadline):
 
 def test_search_counters(enum_reports):
     report = enum_reports(6)
-    assert report.leaves == 302
+    assert report.leaves == 126
+    # without the row-1 rule the search visits 8,269 nodes and 302 leaves;
     # the full-sweep search without the candidate filter visits 451,999
     # nodes, the search that learns C_y only from x = y 14,184
-    assert report.leaves <= report.nodes <= 8_269
+    assert report.leaves <= report.nodes <= 4_163
 
 
 # (nodes, leaves) of each root, in the order of search._roots(n), of the
@@ -136,13 +176,15 @@ X_EQUALS_Y_COUNTS = {
 
 
 def test_per_root_counts_no_worse_than_x_equals_y_rule(enum_reports):
-    """Learning C_y from any row reaches the same leaves below every root,
-    through no more nodes."""
+    """The search that learns C_y only from x = y reaches the full-sweep
+    search's leaves; learning C_y from any row, with the row-1 rule, reaches
+    no more leaves through no more nodes, below every root."""
     for n, expected in X_EQUALS_Y_COUNTS.items():
         report = enum_reports(n)
         assert [r.root for r in report.roots] == search._roots(n)
         for stats, (nodes, leaves) in zip(report.roots, expected, strict=True):
-            assert stats.leaves == leaves and stats.nodes <= nodes
+            assert len(_reference_leaves(n, stats.root)) == leaves
+            assert stats.leaves <= leaves and stats.nodes <= nodes
 
 
 # (nodes, leaves, accepted) of each root, in the order of search._roots(n)
@@ -150,11 +192,11 @@ PER_ROOT_COUNTS = {
     1: [(1, 1, 1)],
     2: [(3, 2, 2), (2, 1, 1)],
     3: [(8, 2, 2), (6, 2, 2), (3, 1, 1)],
-    4: [(33, 11, 4), (27, 5, 4), (12, 2, 2), (12, 5, 2), (6, 3, 2)],
-    5: [(240, 7, 2), (132, 1, 1), (98, 1, 1), (85, 3, 2), (47, 3, 3), (24, 1, 1), (13, 1, 1)],
+    4: [(24, 9, 4), (21, 5, 4), (12, 2, 2), (9, 4, 2), (6, 3, 2)],
+    5: [(86, 2, 2), (97, 1, 1), (54, 1, 1), (55, 2, 2), (47, 3, 3), (14, 1, 1), (13, 1, 1)],
     6: [
-        (2644, 201, 5), (1342, 13, 2), (782, 9, 3), (1423, 29, 7), (800, 5, 2), (458, 1, 1),
-        (270, 1, 1), (320, 25, 4), (118, 1, 1), (63, 13, 3), (49, 4, 2),
+        (720, 60, 5), (973, 11, 2), (470, 9, 3), (712, 14, 7), (500, 5, 2), (242, 1, 1),
+        (270, 1, 1), (130, 11, 4), (58, 1, 1), (39, 9, 3), (49, 4, 2),
     ],
 }
 
@@ -274,15 +316,17 @@ def test_budget_error_counts_partial_work(monkeypatch):
     256 per poll passed in the interrupted root."""
     n = 6
     per_root = [search._search_root(n, root, None) for root in search._roots(n)]
-    for polls in (1, 5, 21, 30):  # root 0 polls 11 times, root 1 6 times, all 40
+    # a root that visits k nodes polls at nodes 0, 256, ... below k
+    root_polls = [-(-r[1] // 256) for r in per_root]
+    # the first poll, one inside root 0, one inside root 1, and the last
+    for polls in (1, 1 + root_polls[0] // 2, root_polls[0] + 1 + root_polls[1] // 2, sum(root_polls)):
         ticks = itertools.count()
         monkeypatch.setattr(search, "time", types.SimpleNamespace(monotonic=lambda: next(ticks)))
         with pytest.raises(BudgetExceededError) as info:
             enumerate_tw_left_quasigroups(n, budget_seconds=polls)
-        # a root that visits k nodes polls at nodes 0, 256, ... below k
         left, done = polls - 1, 0
-        while left >= -(-per_root[done][1] // 256):
-            left -= -(-per_root[done][1] // 256)
+        while left >= root_polls[done]:
+            left -= root_polls[done]
             done += 1
         exc = info.value
         assert exc.completed == done
