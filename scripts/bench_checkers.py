@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Per-call timings of the identity and braiding checkers and the braiding builders.
 
-Times ``check_identity`` for all seven kinds and the two halves of the
+Times ``check_identity`` for all seven kinds, the two halves of the
 ``is_braiding`` dual oracle (``_check_component_identities`` and
-``_check_composed_maps``) at n = 4, 5 and 12, each on a table where the
-check holds (a full n^3 scan) and on a seeded random left quasigroup where
-it fails early.  At the same orders it times ``to_braiding`` and
+``_check_composed_maps``) and ``is_braiding`` itself on the idempotent
+braiding at n = 4, 5 and 12, each on a table where the check holds (a full
+n^3 scan) and on a seeded random left quasigroup where it fails early.  At the same orders it times ``to_braiding`` and
 ``induced_bullet`` for each braiding kind, and the validating
 ``CayleyTable`` build of their input.  In the catalog layer it times
 ``canonical_form`` on the catalog tables of orders 8 and 9,
@@ -139,6 +139,11 @@ def cases(tw):
                 function="_check_composed_maps", kind="idempotent braiding", n=n, case=case,
                 table=label, holds=_check_composed_maps(b), triples_to_verdict=None,
                 call=lambda b=b: _check_composed_maps(b),
+            ))
+            rows.append(dict(
+                function="is_braiding", kind="idempotent braiding", n=n, case=case,
+                table=label, holds=tw.is_braiding(b), triples_to_verdict=None,
+                call=lambda b=b: tw.is_braiding(b),
             ))
         label, built = "affine a=1 c=1", affine(n, 1, 1)
         rows.append(dict(

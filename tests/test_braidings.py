@@ -14,7 +14,7 @@ from tward import (
     properties,
     to_braiding,
 )
-from tward.braidings import BRAID_KINDS, _check_composed_maps, matching_identity
+from tward.braidings import BRAID_KINDS, _check_composed_maps, _composed_maps_agree_at, matching_identity
 from tward.errors import ConsistencyError, StructureError
 
 from conftest import all_left_quasigroups
@@ -116,8 +116,11 @@ def test_matching_identity_names():
     assert matching_identity("derived") == "rack"
     assert matching_identity("involutive") == "rump"
     assert matching_identity("idempotent", division_form=True) == "twisted_ward_div"
-    with pytest.raises(ValueError):
-        matching_identity("flat")
+    # an unknown kind raises ValueError whatever its type, unhashable ones too
+    for kind in ("flat", ["idempotent"], {"idempotent"}, ("idempotent",), None, 3):
+        for division_form in (False, True):
+            with pytest.raises(ValueError, match="unknown braiding kind"):
+                matching_identity(kind, division_form)
 
 
 @given(small_left_quasigroups())
@@ -221,9 +224,8 @@ def _reference_component_identities(b):
     return True, None
 
 
-def _reference_composed_maps(b):
-    """(r x 1)(1 x r)(r x 1) = (1 x r)(r x 1)(1 x r) on point triples."""
-    n = b.n
+def _reference_composed_at(b, t):
+    """(r x 1)(1 x r)(r x 1) = (1 x r)(r x 1)(1 x r) at the point triple t."""
 
     def r1(t):
         a, b_, c = t
@@ -235,10 +237,12 @@ def _reference_composed_maps(b):
         p, q = b.apply(b_, c)
         return (a, p, q)
 
-    for t in itertools.product(range(n), repeat=3):
-        if r1(r2(r1(t))) != r2(r1(r2(t))):
-            return False
-    return True
+    return r1(r2(r1(t))) == r2(r1(r2(t)))
+
+
+def _reference_composed_maps(b):
+    """(r x 1)(1 x r)(r x 1) = (1 x r)(r x 1)(1 x r) on point triples."""
+    return all(_reference_composed_at(b, t) for t in itertools.product(range(b.n), repeat=3))
 
 
 @st.composite
@@ -263,6 +267,8 @@ def assert_braiding_matches_reference(b):
     expected = _reference_component_identities(b)
     assert _reference_composed_maps(b) == expected[0]
     assert _check_composed_maps(b) == expected[0]
+    for t in itertools.product(range(b.n), repeat=3):
+        assert _composed_maps_agree_at(b, t) == _reference_composed_at(b, t), t
     assert is_braiding(b, witness=True) == expected
     assert is_braiding(b) == expected[0]
 
@@ -292,17 +298,54 @@ def test_braiding_checks_match_reference_on_fixed_pairs():
     assert True in verdicts and False in verdicts
 
 
-@pytest.mark.parametrize("checker", ["_check_component_identities", "_check_composed_maps"])
+def test_is_braiding_scans_the_composed_maps_only_when_the_components_hold(monkeypatch):
+    """A failing verdict is confirmed at its witness alone, a holding one by
+    the full composed scan: the scan raises if it is given a failing braiding."""
+    from tward import braidings
+
+    original = braidings._check_composed_maps
+    scanned = []
+
+    def scan(b):
+        if not _reference_component_identities(b)[0]:
+            raise AssertionError("full composed-map scan of a failing braiding")
+        scanned.append(b)
+        return original(b)
+
+    monkeypatch.setattr(braidings, "_check_composed_maps", scan)
+    verdicts = set()
+    for t in all_left_quasigroups(3):
+        for kind in BRAID_KINDS:
+            for b in (to_braiding(t, kind), induced_bullet(t, kind)):
+                scanned.clear()
+                holds = is_braiding(b)
+                assert scanned == ([b] if holds else [])
+                verdicts.add(holds)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("checker", ["_check_component_identities", "_check_composed_maps", "_composed_maps_agree_at"])
 def test_braiding_oracles_disagreeing_raise(monkeypatch, table4, cyclic3, checker):
+    """A flipped verdict from either half raises.  The idempotent braiding of
+    table4 holds, so it reaches the full composed scan; that of cyclic3 fails,
+    so it reaches the point check at the components' witness instead."""
     from tward import braidings
 
     original = getattr(braidings, checker)
+    if checker == "_check_component_identities":
 
-    def flipped(b, *args):
-        verdict = original(b, *args)
-        return (not verdict[0], None) if args else not verdict
+        def flipped(b, witness):  # a failing verdict needs a point for the point check
+            holds, _ = original(b, witness)
+            return (False, ("YB1", (0, 0, 0))) if holds else (True, None)
 
+        tables = (table4, cyclic3)
+    else:
+
+        def flipped(b, *args):
+            return not original(b, *args)
+
+        tables = (table4,) if checker == "_check_composed_maps" else (cyclic3,)
     monkeypatch.setattr(braidings, checker, flipped)
-    for t in (table4, cyclic3):  # the idempotent braiding of table4 holds, of cyclic3 fails
+    for t in tables:
         with pytest.raises(ConsistencyError):
             is_braiding(to_braiding(t, "idempotent"))

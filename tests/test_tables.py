@@ -194,8 +194,10 @@ def test_identity_checks(table4, table6, cyclic3):
 
 
 def test_unknown_identity(table4):
-    with pytest.raises(ValueError):
-        check_identity(table4, "nope")
+    """An unknown kind raises ValueError whatever its type, unhashable ones too."""
+    for kind in ("nope", ["rack"], {"rack"}, ("rack",), None, 3):
+        with pytest.raises(ValueError, match="unknown identity kind"):
+            check_identity(table4, kind)
 
 
 def _reference_check_identity(t, kind):
@@ -236,6 +238,12 @@ def assert_identities_match_reference(t):
         expected = _reference_check_identity(t, kind)
         assert check_identity(t, kind, witness=True) == expected, kind
         assert check_identity(t, kind) == expected[0]
+
+
+def test_identities_match_reference_on_all_order1_and_order2_left_quasigroups():
+    for n in (1, 2):
+        for t in all_left_quasigroups(n):
+            assert_identities_match_reference(t)
 
 
 def test_identities_match_reference_on_all_order3_left_quasigroups():
