@@ -80,6 +80,24 @@ def load(checkout, name):
     return module
 
 
+def alternating(labels, i):
+    """The labels in round i: as given in even rounds, reversed in odd ones."""
+    return labels[:: 1 - 2 * (i % 2)]
+
+
+def fresh_runs(checkouts, argv, read, runs=3):
+    """A command in a fresh interpreter per checkout, alternating; read maps
+    the completed process and its wall time to the value kept."""
+    out = {label: [] for label in checkouts}
+    for i in range(runs):
+        for label in alternating(list(checkouts), i):
+            env = dict(os.environ, PYTHONPATH=str(checkouts[label] / "src"))
+            start = time.perf_counter()
+            proc = subprocess.run(argv, cwd=checkouts[label], env=env, check=True, capture_output=True, text=True)
+            out[label].append(read(proc, time.perf_counter() - start))
+    return out
+
+
 def interleaved_seconds(calls):
     """Per-call seconds of each call (label -> callable), the least of 20
     rounds that time a loop of every call once, in alternating order."""
@@ -89,7 +107,7 @@ def interleaved_seconds(calls):
     best = dict.fromkeys(calls, float("inf"))
     labels = list(calls)
     for i in range(20):
-        for label in labels[:: 1 - 2 * (i % 2)]:
+        for label in alternating(labels, i):
             best[label] = min(best[label], timers[label].timeit(numbers[label]) / numbers[label])
     return best
 
@@ -225,16 +243,6 @@ def catalog_cases(tw):
     return rows
 
 
-def criterion_06_seconds(checkout):
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    start = time.perf_counter()
-    subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", CRITERION_06],
-        cwd=checkout, env=env, check=True, stdout=subprocess.DEVNULL,
-    )
-    return time.perf_counter() - start
-
-
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--parent", type=Path, required=True, help="checkout timed under the label parent")
@@ -256,10 +264,8 @@ def main() -> int:
         print(f"{first['function']:28s} {first['kind']:20s} n={first['n']:<2d} {first['case']:11s}",
               "  ".join(f"{k} {v * 1e6:9.2f} us" for k, v in seconds.items()), flush=True)
 
-    crit = {label: [] for label in checkouts}
-    for i in range(5):
-        for label in list(checkouts)[:: 1 - 2 * (i % 2)]:
-            crit[label].append(round(criterion_06_seconds(checkouts[label]), 2))
+    crit = fresh_runs(checkouts, [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", CRITERION_06],
+                      lambda proc, wall: round(wall, 2), runs=5)
     print("criterion 06 s:", crit)
 
     paragraphs = __doc__.split("\n\n")

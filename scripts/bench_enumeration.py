@@ -32,12 +32,11 @@ import argparse
 import json
 import os
 import platform
-import subprocess
 import sys
 import time
 from pathlib import Path
 
-from bench_checkers import load
+from bench_checkers import alternating, fresh_runs, load
 
 REPO = Path(__file__).resolve().parent.parent
 ORDERS = range(1, 8)
@@ -78,10 +77,6 @@ print(json.dumps(dict(
 """
 
 
-def alternating(labels, i):
-    return labels[:: 1 - 2 * (i % 2)]
-
-
 def root_rows(packages, n):
     """One row per root of order n: counts, and the least seconds of
     ROUNDS alternating runs of each checkout."""
@@ -111,19 +106,6 @@ def root_rows(packages, n):
                         for label in labels),
               flush=True)
     return rows
-
-
-def fresh_runs(checkouts, argv, read, runs=3):
-    """A command in a fresh interpreter per checkout, alternating; read maps
-    the completed process and its wall time to the value kept."""
-    out = {label: [] for label in checkouts}
-    for i in range(runs):
-        for label in alternating(list(checkouts), i):
-            env = dict(os.environ, PYTHONPATH=str(checkouts[label] / "src"))
-            start = time.perf_counter()
-            proc = subprocess.run(argv, cwd=checkouts[label], env=env, check=True, capture_output=True, text=True)
-            out[label].append(read(proc, time.perf_counter() - start))
-    return out
 
 
 def main() -> int:

@@ -15,13 +15,7 @@ from . import braidings, construct, groups, perms, search, tables
 from .errors import AlgebraError, BudgetExceededError, StructureError
 
 IDENTITY_NAMES = {
-    "tw": "twisted_ward",
-    "rack": "rack",
-    "rump": "rump",
-    "ward": "ward",
-    "tw-div": "twisted_ward_div",
-    "rack-div": "rack_div",
-    "rump-div": "rump_div",
+    kind.replace("twisted_ward", "tw").replace("_", "-"): kind for kind in tables.IDENTITY_KINDS
 }
 
 EXIT_OK = 0
@@ -58,10 +52,8 @@ def cmd_props(args) -> int:
     print("\n".join(_flag_words(flags)))
     if t.is_left_quasigroup:
         mg = perms.multiplication_groups(t)
-        print(f"lmlt_order {mg.lmlt.order}")
-        print(f"dis_plus_order {mg.dis_plus.order}")
-        print(f"dis_minus_order {mg.dis_minus.order}")
-        print(f"dis_order {mg.dis.order}")
+        for f in fields(mg):
+            print(f"{f.name}_order {getattr(mg, f.name).order}")
         print(f"dis_plus_regular {int(perms.is_regular(mg.dis_plus))}")
     return EXIT_OK
 

@@ -106,17 +106,8 @@ def is_group(t: CayleyTable) -> bool:
         return False
 
 
-def _primes_dividing(n: int) -> list[int]:
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+def _is_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
 
 
 def _inner_automorphism(g: FiniteGroup, h0: int) -> Perm:
@@ -163,7 +154,7 @@ def enumerate_groups(n: int) -> tuple[FiniteGroup, ...]:
     if n == 1:
         return (FiniteGroup(CayleyTable.from_rows([[0]])),)
     found: list[FiniteGroup] = []
-    for p in _primes_dividing(n):
+    for p in (d for d in range(2, n + 1) if n % d == 0 and _is_prime(d)):
         for h in enumerate_groups(n // p):
             for alpha in sorted(h.automorphisms.elements):
                 apow = alpha

@@ -55,6 +55,7 @@ import contextlib
 import itertools
 import math
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -64,7 +65,7 @@ import numpy as np
 
 from .construct import TwqSpec, build_twq
 from .errors import BudgetExceededError, ConsistencyError
-from .groups import enumerate_groups, partition_number, q_count
+from .groups import _is_prime, enumerate_groups, partition_number, q_count
 # cycle_type is not called here but stays importable: the benchmark's tracer patches it
 from .perms import Perm, compose, cycle_type, least_conjugate_rows
 from .tables import CayleyTable, _perm_arrays, canonical_form, classify_structure, is_self_canonical
@@ -244,6 +245,16 @@ def _search_root(
     return results, nodes, leaves
 
 
+def _kind(t: CayleyTable) -> str:
+    """The part of ell(n) a representative counts in: "permutational" first
+    (so the order-1 table, both kinds, is permutational), else "quasigroup",
+    else "neither"."""
+    flags = classify_structure(t)
+    if flags.is_permutational:
+        return "permutational"
+    return "quasigroup" if flags.is_quasigroup else "neither"
+
+
 def _timed_root(
     n: int, root: Perm, deadline: float | None
 ) -> tuple[list[tuple[tuple[int, ...], ...]], RootStats]:
@@ -266,7 +277,7 @@ def enumerate_tw_left_quasigroups(
     """
     if not (1 <= n <= MAX_ENUM_ORDER):
         raise ValueError(f"enumeration supports 1 <= n <= {MAX_ENUM_ORDER}")
-    if budget_seconds is not None and budget_seconds < 0:
+    if budget_seconds is not None and not budget_seconds >= 0:
         raise ValueError(f"budget must be nonnegative, got {budget_seconds}")
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -289,21 +300,13 @@ def enumerate_tw_left_quasigroups(
                 leaves=sum(r.leaves for r in stats) + exc.leaves,
             ) from exc
     tables = [CayleyTable._derived(rows) for rows in sorted(set(all_rows))]
-    perm = quasi = neither = 0
-    for t in tables:
-        flags = classify_structure(t)
-        if flags.is_permutational:
-            perm += 1
-        elif flags.is_quasigroup:
-            quasi += 1
-        else:
-            neither += 1
+    kinds = Counter(map(_kind, tables))
     return EnumerationReport(
         n=n,
         total=len(tables),
-        permutational_count=perm,
-        quasigroup_count=quasi,
-        neither_count=neither,
+        permutational_count=kinds["permutational"],
+        quasigroup_count=kinds["quasigroup"],
+        neither_count=kinds["neither"],
         representatives=tuple(tables),
         nodes=sum(r.nodes for r in stats),
         leaves=sum(r.leaves for r in stats),
@@ -359,10 +362,6 @@ def enumerate_tw_quasigroups(
     return reps
 
 
-def _is_prime(n: int) -> bool:
-    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
-
-
 @dataclass(frozen=True)
 class DichotomyReport:
     n: int
@@ -380,11 +379,7 @@ def dichotomy_report(
     if not _is_prime(n):
         raise ValueError(f"{n} is not prime")
     report = enumerate_tw_left_quasigroups(n, budget_seconds, threads)
-    witnesses = tuple(
-        t
-        for t in report.representatives
-        if not classify_structure(t).is_permutational and not t.is_quasigroup
-    )
+    witnesses = tuple(t for t in report.representatives if _kind(t) == "neither")
     return DichotomyReport(
         n=n,
         holds=not witnesses,

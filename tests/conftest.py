@@ -56,6 +56,18 @@ def cyclic3():
     return CYCLIC3
 
 
+def search_finds_table4(monkeypatch):
+    """Make every enumeration report the one representative TABLE4, which is
+    neither permutational nor a quasigroup: a failing dichotomy."""
+    from tward import search
+
+    report = search.EnumerationReport(
+        n=4, total=1, permutational_count=0, quasigroup_count=0, neither_count=1,
+        representatives=(TABLE4,),
+    )
+    monkeypatch.setattr(search, "enumerate_tw_left_quasigroups", lambda n, budget, threads: report)
+
+
 def all_left_quasigroups(n):
     """Every left quasigroup table of order n: all n-tuples of rows that are
     permutations."""

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from tward import CayleyTable, search
 from tward.cli import IDENTITY_NAMES, main
+from tward.tables import IDENTITY_KINDS
 
-from conftest import CYCLIC3, TABLE4
+from conftest import CYCLIC3, TABLE4, search_finds_table4
 
 
 @pytest.fixture
@@ -256,6 +257,18 @@ def test_dichotomy_verb(capsys):
     assert code == 2
 
 
+def test_dichotomy_fails_prints_witness(capsys, monkeypatch):
+    search_finds_table4(monkeypatch)
+    code, out = run(capsys, "dichotomy", "5")
+    assert code == 1
+    assert out == "RESULT: fails\n" + TABLE4.to_text(comments=["dichotomy witness"])
+
+
+def test_identity_names():
+    assert sorted(IDENTITY_NAMES) == ["rack", "rack-div", "rump", "rump-div", "tw", "tw-div", "ward"]
+    assert sorted(IDENTITY_NAMES.values()) == sorted(IDENTITY_KINDS)
+
+
 def test_budget_exit_code(capsys):
     code, out = run(capsys, "enumerate", "7", "--budget", "0.01")
     assert code == 3
@@ -326,10 +339,16 @@ def test_check_extra_row(capsys, tmp_path):
 
 
 def test_enumerate_bad_budget_and_threads(capsys):
-    code, out = run(capsys, "enumerate", "3", "--budget", "-1")
-    assert code == 2 and out.startswith("RESULT: error")
-    code, out = run(capsys, "--threads", "0", "enumerate", "3")
-    assert code == 2 and out.startswith("RESULT: error")
+    for argv in (
+        ["enumerate", "3", "--budget", "-1"],
+        ["enumerate", "6", "--budget", "nan"],
+        ["count", "row", "5", "--budget", "nan"],
+        ["dichotomy", "7", "--budget", "nan"],
+        ["--threads", "0", "enumerate", "3"],
+    ):
+        code, out = run(capsys, *argv)
+        assert code == 2 and out.startswith("RESULT: error ("), argv
+        assert out.count("\n") == 1, argv
 
 
 def test_budget_environment_variable_is_ignored(capsys, monkeypatch):

@@ -16,8 +16,9 @@ from tward import (
     table_isomorphic,
     twq_catalog_specs,
 )
-from conftest import reference_min_conjugates
+from conftest import CYCLIC3, TABLE4, reference_min_conjugates, search_finds_table4
 from tward import search
+from tward.construct import build_permutational
 from tward.errors import BudgetExceededError, ConsistencyError
 from tward.perms import compose, cycle_type, inverse, least_conjugate_rows
 from tward.tables import CayleyTable, is_self_canonical
@@ -290,6 +291,27 @@ def test_dichotomy_small():
         dichotomy_report(6)
 
 
+def test_dichotomy_fails_with_witness(monkeypatch):
+    search_finds_table4(monkeypatch)
+    report = dichotomy_report(5)
+    assert not report.holds
+    assert report.witnesses == (TABLE4,)
+
+
+@pytest.mark.parametrize(
+    "table, kind",
+    [
+        (TABLE4, "neither"),
+        (CYCLIC3, "quasigroup"),
+        (build_permutational(3, (1, 2, 0)), "permutational"),
+        # both a quasigroup and permutational: it counts in p(1)
+        (CayleyTable.from_rows([[0]]), "permutational"),
+    ],
+)
+def test_kind(table, kind):
+    assert search._kind(table) == kind
+
+
 def test_order_bounds():
     with pytest.raises(ValueError):
         enumerate_tw_left_quasigroups(0)
@@ -336,10 +358,16 @@ def test_budget_error_counts_partial_work(monkeypatch):
 
 
 def test_budget_and_threads_validated():
-    with pytest.raises(ValueError):
-        enumerate_tw_left_quasigroups(3, budget_seconds=-1)
+    for budget in (-1, float("nan")):
+        with pytest.raises(ValueError, match="budget must be nonnegative"):
+            enumerate_tw_left_quasigroups(3, budget_seconds=budget)
     with pytest.raises(ValueError):
         enumerate_tw_left_quasigroups(3, threads=0)
+
+
+@pytest.mark.parametrize("budget", [None, float("inf")])
+def test_unbounded_budget_runs(budget):
+    assert enumerate_tw_left_quasigroups(3, budget_seconds=budget).total == ELL_EXPECTED[3]
 
 
 def test_threaded_run_matches_serial(enum_reports):
