@@ -11,9 +11,10 @@ n^3 scan) and on a seeded random left quasigroup where it fails early.  At the s
 ``canonical_form`` on the catalog tables of orders 8 and 9,
 ``twq_spec_isomorphic`` over all ordered pairs of catalog specs of order 8,
 ``table_isomorphic`` over all ordered pairs of catalog tables of order 8,
-``find_all_isomorphisms`` on C2^4 (the xor table of order 16, 20,160
-automorphisms) and ``_perm_arrays(9)`` with its cache cleared; a row that
-makes several calls gives the seconds per call.  It also times criterion
+``find_all_isomorphisms``, ``automorphism_group`` and ``conjugacy_classes``
+of the result on C2^4 (the xor table of order 16, 20,160 automorphisms) and
+``_perm_arrays(9)`` with its cache cleared; a row that makes several calls
+gives the seconds per call.  It also times criterion
 06 of the acceptance suite.
 
 Two checkouts are timed side by side in one process, each imported under
@@ -192,8 +193,8 @@ def perm_arrays_digest(perms, invs):
 
 def catalog_cases(tw):
     """Rows of the catalog layer: canonical forms, spec and table isomorphism,
-    all automorphisms of C2^4 and the permutation arrays of the canonical-form
-    filter."""
+    all automorphisms of C2^4, their group and its conjugacy classes, and the
+    permutation arrays of the canonical-form filter."""
     perm_arrays = tw.tables._perm_arrays
     rows = []
     for n in (8, 9):
@@ -233,6 +234,21 @@ def catalog_cases(tw):
         function="find_all_isomorphisms", kind="all automorphisms", n=16, case="C2^4",
         table="x xor y", holds=None, triples_to_verdict=None, calls=1,
         output=digest(automorphisms()), call=automorphisms,
+    ))
+    aut = tw.automorphism_group(xor)
+    rows.append(dict(
+        function="automorphism_group", kind="group of automorphisms", n=16, case="C2^4",
+        table="x xor y", holds=None, triples_to_verdict=None, calls=1,
+        output=digest((aut.degree, sorted(aut.elements))), call=lambda: tw.automorphism_group(xor),
+    ))
+
+    def classes():
+        return [(c.representative, c.size) for c in tw.conjugacy_classes(aut)]
+
+    rows.append(dict(
+        function="conjugacy_classes", kind="automorphism group", n=16, case="C2^4",
+        table="x xor y", holds=None, triples_to_verdict=None, calls=1,
+        output=digest(classes()), call=classes,
     ))
     rows.append(dict(
         function="_perm_arrays", kind="cache cleared", n=9, case="fresh arrays", table="-",

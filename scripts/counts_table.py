@@ -11,6 +11,7 @@ import sys
 
 from tward import counts_row
 from tward.errors import BudgetExceededError
+from tward.groups import MAX_GROUP_ORDER
 from tward.search import DEFAULT_BUDGET, MAX_ENUM_ORDER
 
 
@@ -22,6 +23,8 @@ def main() -> int:
     ap.add_argument("--budget", type=float, default=DEFAULT_BUDGET,
                     help="time budget per enumerated order, seconds")
     args = ap.parse_args()
+    if not 1 <= args.max_n <= MAX_GROUP_ORDER:
+        ap.error(f"--max-n must be in 1..{MAX_GROUP_ORDER}, the orders of the group catalog")
 
     print(f"{'n':>3} {'ell':>6} {'q':>6} {'p':>6}")
     for n in range(1, args.max_n + 1):

@@ -35,11 +35,13 @@ class BlockRejectionError(AlgebraError):
         self.witness = witness
 
 
-def _is_group_automorphism(g: FiniteGroup, psi: Sequence[int]) -> bool:
-    if len(psi) != g.n or not is_perm(psi):
-        return False
+def _is_endomorphism(g: FiniteGroup, phi: Sequence[int]) -> bool:
     r = g.table.rows
-    return all(psi[r[x][y]] == r[psi[x]][psi[y]] for x in range(g.n) for y in range(g.n))
+    return all(phi[r[x][y]] == r[phi[x]][phi[y]] for x in range(g.n) for y in range(g.n))
+
+
+def _is_group_automorphism(g: FiniteGroup, psi: Sequence[int]) -> bool:
+    return len(psi) == g.n and is_perm(psi) and _is_endomorphism(g, psi)
 
 
 @dataclass(frozen=True)
@@ -104,11 +106,11 @@ def build_affine(
         raise ValueError("constant c out of range")
     if len(phi) != n or any(not (0 <= v < n) for v in phi):
         raise ValueError("phi image sequence out of range")
-    r = group.table.rows
-    if any(phi[r[x][y]] != r[phi[x]][phi[y]] for x in range(n) for y in range(n)):
+    if not _is_endomorphism(group, phi):
         raise ValueError("phi is not an endomorphism")
     if not _is_group_automorphism(group, psi):
         raise ValueError("psi is not an automorphism")
+    r = group.table.rows
     rows = [[r[r[phi[x]][psi[y]]][c] for y in range(n)] for x in range(n)]
     commute = all(phi[psi[x]] == psi[phi[x]] for x in range(n))
     null = all(r[phi[phi[x]]][phi[psi[x]]] == 0 for x in range(n))

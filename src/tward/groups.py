@@ -42,13 +42,6 @@ class FiniteGroup:
     def inv(self, x: int) -> int:
         return self.table.rows[x].index(0)
 
-    def element_order(self, x: int) -> int:
-        k, y = 1, x
-        while y != 0:
-            y = self.mul(y, x)
-            k += 1
-        return k
-
     def is_abelian(self) -> bool:
         r = self.table.rows
         return all(r[x][y] == r[y][x] for x in range(self.n) for y in range(x))
@@ -115,16 +108,13 @@ def _inner_automorphism(g: FiniteGroup, h0: int) -> Perm:
     return tuple(g.mul(g.mul(h0, h), ih0) for h in range(g.n))
 
 
-def _cyclic_extension_table(h: FiniteGroup, p: int, alpha: Perm, h0: int) -> CayleyTable:
+def _cyclic_extension_table(h: FiniteGroup, p: int, powers: list[Perm], h0: int) -> CayleyTable:
     """Group on H x C_p from the extension datum (alpha, h0) with
-    alpha(h0) = h0 and alpha^p = conjugation by h0.
+    alpha(h0) = h0 and alpha^p = conjugation by h0; powers[i] is alpha^i.
 
     Element (a, i) gets label i*|H| + a; (a,i)(b,j) = (a alpha^i(b) h0^k, i+j-kp).
     """
     m = h.n
-    powers = [identity_perm(m)]
-    for _ in range(p - 1):
-        powers.append(compose(alpha, powers[-1]))
     n = m * p
     rows = [[0] * n for _ in range(n)]
     for i in range(p):
@@ -156,14 +146,15 @@ def enumerate_groups(n: int) -> tuple[FiniteGroup, ...]:
     found: list[FiniteGroup] = []
     for p in (d for d in range(2, n + 1) if n % d == 0 and _is_prime(d)):
         for h in enumerate_groups(n // p):
+            inner = [_inner_automorphism(h, h0) for h0 in range(h.n)]
             for alpha in sorted(h.automorphisms.elements):
-                apow = alpha
-                for _ in range(p - 1):
-                    apow = compose(alpha, apow)
+                powers = [identity_perm(h.n)]
+                for _ in range(p):
+                    powers.append(compose(alpha, powers[-1]))
                 for h0 in range(h.n):
-                    if alpha[h0] != h0 or apow != _inner_automorphism(h, h0):
+                    if alpha[h0] != h0 or powers[p] != inner[h0]:
                         continue
-                    g = as_group(_cyclic_extension_table(h, p, alpha, h0))
+                    g = as_group(_cyclic_extension_table(h, p, powers, h0))
                     if not any(table_isomorphic(g.table, other.table) for other in found):
                         found.append(g)
     found.sort(key=lambda g: g.table.rows)

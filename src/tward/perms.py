@@ -64,7 +64,6 @@ def parse_perm(text: str) -> Perm:
 class PermGroup:
     degree: int
     elements: frozenset[Perm]
-    generators: tuple[Perm, ...]
 
     @property
     def order(self) -> int:
@@ -96,7 +95,7 @@ def closure(generators: Iterable[Perm], degree: int, cap: int = DEFAULT_CAP) -> 
                         raise ClosureOverflowError(cap)
                     new.append(p)
         frontier = new
-    return PermGroup(degree, frozenset(elems), gens)
+    return PermGroup(degree, frozenset(elems))
 
 
 @dataclass(frozen=True)
@@ -138,21 +137,8 @@ def is_group_isotope(t: CayleyTable) -> bool:
 
 
 def automorphism_group(t: CayleyTable) -> PermGroup:
-    """All permutations pi with pi(x*y) = pi(x)*pi(y), as a PermGroup.
-
-    Backtracking over images with propagation of forced products; a minimal
-    generating subset of the result is kept as the generator list.
-    """
-    elems = frozenset(find_all_isomorphisms(t, t))
-    gens: list[Perm] = []
-    have = {identity_perm(t.n)}
-    for p in sorted(elems):
-        if p not in have:
-            gens.append(p)
-            have = closure(gens, t.n).elements
-            if len(have) == len(elems):
-                break
-    return PermGroup(t.n, elems, tuple(gens))
+    """All permutations pi with pi(x*y) = pi(x)*pi(y), as a PermGroup."""
+    return PermGroup(t.n, frozenset(find_all_isomorphisms(t, t)))
 
 
 @dataclass(frozen=True)
@@ -166,9 +152,9 @@ def conjugacy_classes(g: PermGroup) -> list[ConjugacyClass]:
     remaining = set(g.elements)
     classes = []
     while remaining:
-        x = min(remaining)
+        x = min(remaining)  # least of its class: the whole class still remains
         orbit = {compose(compose(h, x), inverse(h)) for h in g.elements}
         remaining -= orbit
-        classes.append(ConjugacyClass(min(orbit), len(orbit)))
+        classes.append(ConjugacyClass(x, len(orbit)))
     classes.sort(key=lambda c: (c.size, c.representative))
     return classes

@@ -1,6 +1,10 @@
 import contextlib
 import io
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +12,7 @@ from hypothesis import strategies as st
 
 from tward import CayleyTable, search
 from tward.cli import IDENTITY_NAMES, main
+from tward.groups import MAX_GROUP_ORDER
 from tward.tables import IDENTITY_KINDS
 
 from conftest import CYCLIC3, TABLE4, search_finds_table4
@@ -451,3 +456,19 @@ def test_fuzz_construct_block(tmp_path_factory, text):
     if code == 0:
         # a built table is written as a table file, which must parse back
         assert CayleyTable.parse(out).is_left_quasigroup
+
+
+def test_counts_table_rejects_orders_past_the_catalog():
+    """scripts/counts_table.py refuses a --max-n outside the group catalog
+    before it prints a row, with a usage error and no traceback."""
+    root = Path(__file__).resolve().parent.parent
+    for max_n in (0, MAX_GROUP_ORDER + 1):
+        proc = subprocess.run(
+            [sys.executable, str(root / "scripts" / "counts_table.py"), "--max-n", str(max_n)],
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "--max-n" in proc.stderr and "Traceback" not in proc.stderr

