@@ -5,7 +5,9 @@ Times ``check_identity`` for all seven kinds, the two halves of the
 ``is_braiding`` dual oracle (``_check_component_identities`` and
 ``_check_composed_maps``) and ``is_braiding`` itself on the idempotent
 braiding at n = 4, 5 and 12, each on a table where the check holds (a full
-n^3 scan) and on a seeded random left quasigroup where it fails early.  At the same orders it times ``to_braiding`` and
+n^3 scan) and on a seeded random left quasigroup where it fails early
+(``_check_composed_maps`` reads all n^3 points either way; ``is_braiding``
+calls it only on holding braidings).  At the same orders it times ``to_braiding`` and
 ``induced_bullet`` for each braiding kind, and the validating
 ``CayleyTable`` build of their input.  In the catalog layer it times
 ``canonical_form`` on the catalog tables of orders 8 and 9,

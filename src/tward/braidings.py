@@ -6,6 +6,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 
+import numpy as np
+
 from .errors import ConsistencyError, StructureError
 from .tables import CayleyTable, check_identity
 
@@ -70,25 +72,37 @@ def _check_component_identities(b: Braiding, witness: bool):
     return True, None
 
 
+@lru_cache(maxsize=None)
+def _point_codes(n: int) -> tuple[np.ndarray, ...]:
+    """Over the n^3 points (x, y, z) in xyz order, the arrays x*n + y,
+    y*n + z, x*n and z, read-only: every caller shares them."""
+    x, y, z = np.indices((n, n, n), dtype=np.intp).reshape(3, -1)
+    codes = (x * n + y, y * n + z, x * n, z)
+    for a in codes:
+        a.flags.writeable = False
+    return codes
+
+
 def _check_composed_maps(b: Braiding) -> bool:
-    """(r x 1)(1 x r)(r x 1) = (1 x r)(r x 1)(1 x r) on all points, with r
-    applied as a black box: a flat list over pair codes, r[a*n + b] = (a o b, a . b)."""
+    """(r x 1)(1 x r)(r x 1) = (1 x r)(r x 1)(1 x r) on all points at once,
+    with r applied as a black box: two flat arrays over pair codes,
+    o[a*n + b] = a o b and u[a*n + b] = a . b, gathered at each of the six
+    steps for all n^3 points, then the three coordinates compared."""
     n = b.n
-    r = list(zip(chain.from_iterable(b.circ.rows), chain.from_iterable(b.bullet.rows)))
-    for x in range(n):
-        xn = x * n
-        for y in range(n):
-            p1, p2 = r[xn + y]  # (r x 1)(x, y, z) = (p1, p2, z)
-            p1n, p2n, yn = p1 * n, p2 * n, y * n
-            for z in range(n):
-                q1, q2 = r[p2n + z]  # (1 x r): (p1, q1, q2)
-                l1, l2 = r[p1n + q1]  # (r x 1): (l1, l2, q2)
-                s1, s2 = r[yn + z]  # (1 x r)(x, y, z) = (x, s1, s2)
-                t1, t2 = r[xn + s1]  # (r x 1): (t1, t2, s2)
-                m1, m2 = r[t2 * n + s2]  # (1 x r): (t1, m1, m2)
-                if l1 != t1 or l2 != m1 or q2 != m2:
-                    return False
-    return True
+    o = np.fromiter(chain.from_iterable(b.circ.rows), dtype=np.intp, count=n * n)
+    u = np.fromiter(chain.from_iterable(b.bullet.rows), dtype=np.intp, count=n * n)
+    xy, yz, xn, z = _point_codes(n)
+    p1, p2 = o[xy], u[xy]  # (r x 1)(x, y, z) = (p1, p2, z)
+    pz = p2 * n + z
+    q1, q2 = o[pz], u[pz]  # (1 x r): (p1, q1, q2)
+    pq = p1 * n + q1
+    l1, l2 = o[pq], u[pq]  # (r x 1): (l1, l2, q2)
+    s1, s2 = o[yz], u[yz]  # (1 x r)(x, y, z) = (x, s1, s2)
+    xs = xn + s1
+    t1, t2 = o[xs], u[xs]  # (r x 1): (t1, t2, s2)
+    ts = t2 * n + s2
+    m1, m2 = o[ts], u[ts]  # (1 x r): (t1, m1, m2)
+    return bool(((l1 == t1) & (l2 == m1) & (q2 == m2)).all())
 
 
 def _composed_maps_agree_at(b: Braiding, point: tuple[int, int, int]) -> bool:

@@ -31,6 +31,8 @@ class FiniteGroup:
     def __post_init__(self):
         if self.table.rows[0] != tuple(range(self.n)):
             raise ValueError("group table must have identity 0")
+        if not self.table.is_quasigroup:  # a group table is latin; inv finds 0 in each row
+            raise ValueError("group table must be a quasigroup")
 
     @property
     def n(self) -> int:

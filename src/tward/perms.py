@@ -150,10 +150,11 @@ class ConjugacyClass:
 def conjugacy_classes(g: PermGroup) -> list[ConjugacyClass]:
     """Conjugacy classes of g, sorted by (size, least representative)."""
     remaining = set(g.elements)
+    pairs = [(h, inverse(h)) for h in g.elements]
     classes = []
     while remaining:
         x = min(remaining)  # least of its class: the whole class still remains
-        orbit = {compose(compose(h, x), inverse(h)) for h in g.elements}
+        orbit = {compose(compose(h, x), h_inv) for h, h_inv in pairs}
         remaining -= orbit
         classes.append(ConjugacyClass(x, len(orbit)))
     classes.sort(key=lambda c: (c.size, c.representative))

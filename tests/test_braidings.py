@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tward import (
@@ -245,17 +245,23 @@ def _reference_composed_maps(b):
     return all(_reference_composed_at(b, t) for t in itertools.product(range(b.n), repeat=3))
 
 
-@st.composite
-def braiding_pairs(draw, max_n=5):
-    """(circ, bullet) pairs: arbitrary rows (constant rows included), and the
-    braidings of left quasigroups, most of which fail and some of which hold."""
-    n = draw(st.integers(1, max_n))
+def arbitrary_tables(n):
+    """Tables of order n >= 1 whose rows are permutations, constant rows or
+    arbitrary rows."""
     row = st.one_of(
         st.permutations(range(n)).map(tuple),
         st.integers(0, n - 1).map(lambda v: (v,) * n),
         st.lists(st.integers(0, n - 1), min_size=n, max_size=n).map(tuple),
     )
-    table = st.lists(row, min_size=n, max_size=n).map(lambda rows: CayleyTable(tuple(rows)))
+    return st.lists(row, min_size=n, max_size=n).map(lambda rows: CayleyTable(tuple(rows)))
+
+
+@st.composite
+def braiding_pairs(draw, max_n=5):
+    """(circ, bullet) pairs: arbitrary rows (constant rows included), and the
+    braidings of left quasigroups, most of which fail and some of which hold."""
+    n = draw(st.integers(1, max_n))
+    table = arbitrary_tables(n)
     if draw(st.booleans()):
         return Braiding(circ=draw(table), bullet=draw(table))
     t = draw(small_left_quasigroups(max_n))
@@ -296,6 +302,75 @@ def test_braiding_checks_match_reference_on_fixed_pairs():
                 assert_braiding_matches_reference(b)
                 verdicts.append(is_braiding(b))
     assert True in verdicts and False in verdicts
+
+
+def _twisted_ward_rows(n):
+    """Twisted Ward left quasigroups of order n: affine x*y = c + a(y - x)
+    mod n for two units a, permutational x*y = y + 1 mod n and, for composite
+    n, the direct product of an affine and a permutational factor."""
+    def affine(m, a):
+        return [[(1 + a * (y - x)) % m for y in range(m)] for x in range(m)]
+
+    def permutational(m):
+        return [[(y + 1) % m for y in range(m)] for _ in range(m)]
+
+    def product(ra, rb):
+        na, nb = len(ra), len(rb)
+        return [
+            [ra[x1][y1] * nb + rb[x2][y2] for y1 in range(na) for y2 in range(nb)]
+            for x1 in range(na)
+            for x2 in range(nb)
+        ]
+
+    found = [affine(n, 1), affine(n, -1), permutational(n)]
+    p = next((d for d in range(2, n) if n % d == 0), None)
+    if p is not None:
+        found.append(product(affine(p, -1), permutational(n // p)))
+    return found
+
+
+@pytest.mark.parametrize("n", [0, 1, 6, 7, 8, 9, 10, 11, 12])
+def test_composed_maps_match_reference_past_the_drawn_orders(n):
+    """At the orders braiding_pairs never draws: the braidings of both
+    builders and all three kinds of twisted Ward tables, and of the same
+    tables with one row rotated into another permutation; and, at n > 0, the
+    identity map and the flip, whose circ or bullet rows are constant."""
+    tables = []
+    for rows in _twisted_ward_rows(n):
+        t = CayleyTable.from_rows(rows)
+        assert check_identity(t, "twisted_ward")
+        tables.append(t)
+        if n > 1:
+            rows[n // 2] = rows[n // 2][1:] + rows[n // 2][:1]
+            tables.append(CayleyTable.from_rows(rows))
+    builders = (to_braiding, induced_bullet)
+    braidings = [build(t, kind) for t in tables for build in builders for kind in BRAID_KINDS]
+    if n:
+        identity_map = Braiding(
+            circ=CayleyTable.from_rows([[x] * n for x in range(n)]),
+            bullet=CayleyTable.from_rows([list(range(n))] * n),
+        )
+        braidings += [identity_map, Braiding(circ=identity_map.bullet, bullet=identity_map.circ)]
+    verdicts = []
+    for b in braidings:
+        verdicts.append(_check_composed_maps(b))
+        assert verdicts[-1] == _reference_composed_maps(b) == _reference_component_identities(b)[0]
+        assert is_braiding(b) == verdicts[-1]
+    assert set(verdicts) == ({True} if n <= 1 else {True, False})
+
+
+_PROJECTION_9 = CayleyTable(tuple((x,) * 9 for x in range(9)))  # x o y = x satisfies YB1
+_ZERO_ROW_9 = (0,) * 9
+
+
+@given(arbitrary_tables(9), arbitrary_tables(9))
+# with the projection as circ, a bullet that fails YB2 alone and one that fails YB3 alone
+@example(_PROJECTION_9, CayleyTable((_ZERO_ROW_9,) * 2 + ((1,) + (0,) * 8,) + (_ZERO_ROW_9,) * 6))
+@example(_PROJECTION_9, CayleyTable((tuple(range(9)),) + (_ZERO_ROW_9,) * 8))
+@settings(max_examples=60, deadline=None)
+def test_composed_maps_match_reference_on_arbitrary_pairs_of_order_9(circ, bullet):
+    b = Braiding(circ=circ, bullet=bullet)
+    assert _check_composed_maps(b) == _reference_composed_maps(b)
 
 
 def test_is_braiding_scans_the_composed_maps_only_when_the_components_hold(monkeypatch):

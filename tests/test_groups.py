@@ -197,3 +197,12 @@ def test_counts_row_prime_identity_failure(monkeypatch):
 def test_group_table_identity_normalized():
     with pytest.raises(ValueError):
         FiniteGroup(CayleyTable.from_rows([[1, 0], [0, 1]]))
+
+
+def test_group_table_must_be_a_quasigroup():
+    """Row 0 is the identity row in both: in the first 1*1 = 1 leaves 1
+    without an inverse, in the second every row is a permutation but column
+    0 repeats 0."""
+    for rows in (((0, 1), (1, 1)), ((0, 1), (0, 1))):
+        with pytest.raises(ValueError, match="must be a quasigroup"):
+            FiniteGroup(CayleyTable(rows))
