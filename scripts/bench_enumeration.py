@@ -1,18 +1,20 @@
 #!/usr/bin/env python3
 """Work and seconds of the exhaustive search, per order and per root.
 
-For every order n = 1..7 and every root (first row) of the search, runs
-``search._search_root`` of two checkouts and records the nodes and leaves
-visited, the tables accepted and the seconds taken.  For every order it also
-times a whole ``enumerate_tw_left_quasigroups(n)`` in a fresh interpreter,
-which pays the per-process caches as a CLI user does, and it times
-criterion 01 of the acceptance suite (ell(1..7)).  For n = 8 and 9 it
-records the setup of the search alone: the seconds and peak RSS of a fresh
-interpreter that runs ``_roots(n)`` and then ``_search_root(n, root, 0.0)``
-for every root, whose passed deadline stops each root at its first node.
-For n = 8 it runs one whole ``enumerate_tw_left_quasigroups(8, threads=2)``
-per checkout in a fresh interpreter and records its nodes, leaves, wall
-time and the root that took the most seconds.
+For every order n = 1..7 it runs ``enumerate_tw_left_quasigroups(n)`` of
+two checkouts and records, for every root (first row), the nodes and leaves
+visited, the tables accepted and the seconds taken, as the report's
+per-root stats give them; a built root has no nodes and no leaves.  For
+every order it also times a whole ``enumerate_tw_left_quasigroups(n)`` in a
+fresh interpreter, which pays the per-process caches as a CLI user does,
+and it times criterion 01 of the acceptance suite (ell(1..7)).  For n = 8
+and 9 it records the setup of the search alone: the seconds and peak RSS of
+a fresh interpreter that runs ``_roots(n)`` and then
+``_search_root(n, root, 0.0)`` for every root, whose passed deadline stops
+each root at its first node.  For n = 8 and 9 it runs one whole
+``enumerate_tw_left_quasigroups(n, threads=2)`` per checkout in a fresh
+interpreter and records its nodes, leaves, wall time and the root that took
+the most seconds.
 
 Two checkouts are timed side by side in one process, each imported under
 its own package name, and the numbers go to BENCH_enumeration.json at the
@@ -25,15 +27,14 @@ Each per-root time is the least of 5 rounds, the two checkouts in
 alternating order, so machine drift falls on both alike; the whole
 enumerations below n = 8, the setups and criterion 01 run 3 times each,
 alternating.  The script stops if the checkouts accept different tables
-below a root or at n = 8; the nodes and leaves may differ, as a pruning
-rule changes them.
+below a root or at n = 8 or 9; the nodes and leaves may differ, as a
+pruning rule or a built root changes them.
 """
 import argparse
 import json
 import os
 import platform
 import sys
-import time
 from pathlib import Path
 
 from bench_checkers import alternating, fresh_runs, load
@@ -62,7 +63,7 @@ for root in roots:
 t_setup = time.perf_counter()
 print(t_roots - t, t_setup - t_roots, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 """
-WHOLE_ORDER = 8
+WHOLE_ORDERS = (8, 9)
 WHOLE = """
 import json, sys, time, tward
 t = time.perf_counter()
@@ -78,32 +79,33 @@ print(json.dumps(dict(
 
 
 def root_rows(packages, n):
-    """One row per root of order n: counts, and the least seconds of
-    ROUNDS alternating runs of each checkout."""
+    """One row per root of order n: the counts of each checkout's report,
+    and the least seconds of ROUNDS alternating runs of each checkout."""
     labels = list(packages)
-    roots = packages[labels[0]].search._roots(n)
+    runs = {label: [] for label in labels}
+    for i in range(ROUNDS):
+        for label in alternating(labels, i):
+            runs[label].append(packages[label].enumerate_tw_left_quasigroups(n, budget_seconds=None))
+    first = {label: reports[0] for label, reports in runs.items()}
+
+    def accepted(report):
+        return [t.rows for t in report.representatives], [(r.root, r.accepted) for r in report.roots]
+
+    if any(accepted(first[label]) != accepted(first[labels[0]]) for label in labels[1:]):
+        raise SystemExit(f"the checkouts accept different tables at n = {n}")
     rows = []
-    for root in roots:
-        best = dict.fromkeys(labels, float("inf"))
-        found = {}
-        for i in range(ROUNDS):
-            for label in alternating(labels, i):
-                start = time.perf_counter()
-                tables, nodes, leaves = packages[label].search._search_root(n, root, None)
-                best[label] = min(best[label], time.perf_counter() - start)
-                found[label] = (sorted(tables), nodes, leaves)
-        tables = found[labels[0]][0]
-        if any(found[label][0] != tables for label in labels[1:]):
-            raise SystemExit(f"the checkouts accept different tables at n = {n}, root {root}")
+    for j, stats in enumerate(first[labels[0]].roots):
+        per_label = {label: first[label].roots[j] for label in labels}
+        best = {label: min(report.roots[j].seconds for report in runs[label]) for label in labels}
         rows.append(dict(
-            n=n, root=list(root), accepted=len(tables),
-            nodes={label: found[label][1] for label in labels},
-            leaves={label: found[label][2] for label in labels},
+            n=n, root=list(stats.root), accepted=stats.accepted,
+            nodes={label: per_label[label].nodes for label in labels},
+            leaves={label: per_label[label].leaves for label in labels},
             seconds={label: float(f"{best[label]:.3g}") for label in labels},
         ))
-        print(f"n={n} root {','.join(map(str, root))}: accepted {len(tables)}",
-              "  ".join(f"{label} {found[label][1]} nodes {found[label][2]} leaves {best[label]:.4f} s"
-                        for label in labels),
+        print(f"n={n} root {','.join(map(str, stats.root))}: accepted {stats.accepted}",
+              "  ".join(f"{label} {per_label[label].nodes} nodes {per_label[label].leaves} leaves "
+                        f"{best[label]:.4f} s" for label in labels),
               flush=True)
     return rows
 
@@ -146,13 +148,16 @@ def main() -> int:
         ))
         print(f"n={n} setup: {setups[-1]}", flush=True)
 
-    whole = fresh_runs(checkouts, [sys.executable, "-c", WHOLE, str(WHOLE_ORDER)],
-                       lambda proc, _: json.loads(proc.stdout), runs=1)
-    whole = {label: runs[0] for label, runs in whole.items()}
-    tables = [w.pop("tables") for w in whole.values()]
-    if any(t != tables[0] for t in tables[1:]):
-        raise SystemExit(f"the checkouts accept different tables at n = {WHOLE_ORDER}")
-    print(f"n={WHOLE_ORDER} threads=2: {whole}", flush=True)
+    wholes = []
+    for n in WHOLE_ORDERS:
+        whole = fresh_runs(checkouts, [sys.executable, "-c", WHOLE, str(n)],
+                           lambda proc, _: json.loads(proc.stdout), runs=1)
+        whole = {label: runs[0] for label, runs in whole.items()}
+        tables = [w.pop("tables") for w in whole.values()]
+        if any(t != tables[0] for t in tables[1:]):
+            raise SystemExit(f"the checkouts accept different tables at n = {n}")
+        wholes.append(dict(n=n, threads=2, accepted=len(tables[0]), **whole))
+        print(f"n={n} threads=2: {whole}", flush=True)
 
     crit = fresh_runs(checkouts, [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", CRITERION_01],
                       lambda proc, wall: round(wall, 3))
@@ -165,7 +170,7 @@ def main() -> int:
         criterion_01_wall_s=crit,
         orders=orders,
         setup=setups,
-        whole_order=dict(n=WHOLE_ORDER, threads=2, accepted=len(tables[0]), **whole),
+        whole_orders=wholes,
         roots=roots,
     )
     args.out.write_text(json.dumps(data, indent=1) + "\n")

@@ -10,6 +10,7 @@ from .construct import (
     build_permutational,
     build_twq,
     decompose_block,
+    direct_product,
     dis_element_form,
     recover_structure,
     twq_spec_isomorphic,

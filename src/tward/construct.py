@@ -130,6 +130,14 @@ def build_permutational(n: int, f: Perm) -> CayleyTable:
     return CayleyTable.from_rows([list(f)] * n)
 
 
+def direct_product(a: CayleyTable, b: CayleyTable) -> CayleyTable:
+    """(x, i)*(y, j) = (x*y, i*j), the pair (x, i) labeled x*|b| + i."""
+    k = b.n
+    return CayleyTable.from_rows(
+        [[ay * k + bj for ay in ar for bj in br] for ar in a.rows for br in b.rows]
+    )
+
+
 @dataclass(frozen=True)
 class BlockFamily:
     """Family of bijections f_x of X x A defining (x,a)*(y,b) = f_x(y,b).

@@ -30,9 +30,9 @@ class ConsistencyError(AlgebraError):
 
 class BudgetExceededError(AlgebraError):
     """An enumeration ran out of its time budget.  ``completed`` holds the
-    number of search subtrees finished before the deadline; ``nodes`` and
-    ``leaves`` the search nodes and leaves visited by then, in the finished
-    subtrees and the interrupted one."""
+    number of roots finished before the deadline, built or searched;
+    ``nodes`` and ``leaves`` the search nodes and leaves visited by then, in
+    the finished subtrees and the interrupted one."""
 
     def __init__(self, message: str, completed: int = 0, nodes: int = 0, leaves: int = 0):
         super().__init__(message)

@@ -48,6 +48,23 @@ allowed, must equal the row at q(y) if that row is set, and must equal q
 itself if q(y) = j.  The filter drops only candidates that propagation would
 reject at once, so the leaves and the tables handed to the canonical check
 are the same as without it.
+
+The identity root is built, not searched.  Suppose some row is the identity,
+L_e = id.  With x = e the identity L_{x*y} L_x = L_{y*y} L_y reads
+L_y = L_{y*y} L_y, so L_{y*y} = id for every y, and then
+L_{x*y} = L_y L_x^{-1}.  So the rows form a group H: they contain id and
+L_y L_x^{-1} for any two of them.  H acts on X semiregularly: if
+L_y(x) = y*x = x, then L_x = L_x L_y^{-1} and L_y = id.  In the orbit of a
+point b the rows L_{y*b} = L_b L_y^{-1} run over all of H once, so each of
+the k = n/|H| orbits has one base point b_i with row id.  Label the point
+g(b_i) as (g, i); its row is L_{y*b_i} = g^{-1} for L_y = g, so
+(g, i)*(g', j) = (g^{-1} g', j).  The table is LD(H) x P_k, the left
+division of H times the projection x*y = y on k points.  Conversely every
+such product satisfies the identity and has an identity row, and its rows
+form a copy of H, so distinct groups give distinct classes: the identity
+root holds one table per group of order m | n.  It holds exactly the tables
+with an identity row, as the identity is the least permutation and the only
+one of its cycle type.  ``_search_root`` can still search it, as an oracle.
 """
 from __future__ import annotations
 
@@ -63,11 +80,11 @@ from time import perf_counter
 
 import numpy as np
 
-from .construct import TwqSpec, build_twq
+from .construct import TwqSpec, build_permutational, build_twq, direct_product
 from .errors import BudgetExceededError, ConsistencyError
 from .groups import _is_prime, enumerate_groups, partition_number, q_count
 # cycle_type is not called here but stays importable: the benchmark's tracer patches it
-from .perms import Perm, compose, cycle_type, least_conjugate_rows
+from .perms import Perm, compose, cycle_type, identity_perm, least_conjugate_rows
 from .tables import CayleyTable, _perm_arrays, canonical_form, classify_structure, is_self_canonical
 
 MAX_ENUM_ORDER = 9
@@ -85,9 +102,11 @@ class RootStats:
     seconds: float
 
     def stats_line(self) -> str:
+        # a searched root visits at least one node, a built one none
+        work = f"nodes {self.nodes} leaves {self.leaves}" if self.nodes else "built"
         return (
-            f"root {','.join(map(str, self.root))} nodes {self.nodes} "
-            f"leaves {self.leaves} accepted {self.accepted} seconds {self.seconds:.3f}"
+            f"root {','.join(map(str, self.root))} {work} "
+            f"accepted {self.accepted} seconds {self.seconds:.3f}"
         )
 
 
@@ -245,6 +264,20 @@ def _search_root(
     return results, nodes, leaves
 
 
+def _identity_root(n: int) -> list[tuple[tuple[int, ...], ...]]:
+    """The canonical tables below the identity root, built rather than
+    searched: LD(H) x P_k for each group H of order m | n, k = n // m."""
+    return [
+        canonical_form(direct_product(
+            build_twq(TwqSpec(h, identity_perm(m), 0)),
+            build_permutational(n // m, identity_perm(n // m)),
+        )).rows
+        for m in range(1, n + 1)
+        if n % m == 0
+        for h in enumerate_groups(m)
+    ]
+
+
 def _kind(t: CayleyTable) -> str:
     """The part of ell(n) a representative counts in: "permutational" first
     (so the order-1 table, both kinds, is permutational), else "quasigroup",
@@ -271,9 +304,11 @@ def enumerate_tw_left_quasigroups(
 ) -> EnumerationReport:
     """All twisted Ward left quasigroups of order n up to isomorphism.
 
-    Every root shares one absolute deadline, serially and across workers; a
-    BudgetExceededError reports the number of roots finished as completed, and
-    the nodes and leaves of those roots and of the interrupted one.
+    The identity root comes first and is built; every other root is
+    searched.  Every root shares one absolute deadline, serially and across
+    workers, and a root never starts past it; a BudgetExceededError reports
+    the number of roots finished as completed, and the nodes and leaves of
+    those roots and of the interrupted one.
     """
     if not (1 <= n <= MAX_ENUM_ORDER):
         raise ValueError(f"enumeration supports 1 <= n <= {MAX_ENUM_ORDER}")
@@ -282,10 +317,14 @@ def enumerate_tw_left_quasigroups(
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
-    roots = _roots(n)
+    # the identity is the least row of S_n, so it is the first root
+    identity, *roots = _roots(n)
+    if deadline is not None and time.monotonic() >= deadline:
+        raise BudgetExceededError(f"enumeration budget exceeded at order {n}")
+    began = perf_counter()
+    all_rows = _identity_root(n)
+    stats = [RootStats(identity, 0, 0, len(all_rows), perf_counter() - began)]
     parallel = threads > 1 and len(roots) > 1
-    all_rows: list[tuple[tuple[int, ...], ...]] = []
-    stats: list[RootStats] = []
     with ProcessPoolExecutor(min(threads, len(roots))) if parallel else contextlib.nullcontext() as pool:
         jobs = (itertools.repeat(n), roots, itertools.repeat(deadline))
         try:

@@ -1,8 +1,16 @@
 import itertools
+from pathlib import Path
 
 import pytest
 
-from tward import CayleyTable
+from tward import (
+    CayleyTable,
+    build_permutational,
+    build_twq,
+    canonical_form,
+    direct_product,
+    twq_catalog_specs,
+)
 from tward.perms import cycle_type
 
 
@@ -98,3 +106,50 @@ def enum_reports():
         return cache[n]
 
     return get
+
+
+def _partitions(k, largest=None):
+    """The partitions of k into nonincreasing parts, each at most ``largest``."""
+    if k == 0:
+        yield ()
+        return
+    for part in range(min(k, largest or k), 0, -1):
+        for rest in _partitions(k - part, part):
+            yield (part,) + rest
+
+
+def _with_cycles(parts):
+    """A permutation whose cycles have the lengths ``parts``."""
+    perm, start = [], 0
+    for size in parts:
+        perm += list(range(start + 1, start + size)) + [start]
+        start += size
+    return tuple(perm)
+
+
+def product_forms(n):
+    """Canonical rows of TWQ(K, phi) x Perm(k, pi) for every m | n, every
+    catalog spec of order m and one pi per partition of k = n // m: by the
+    product structure fact, one table per class whose squares share a row."""
+    return [
+        canonical_form(direct_product(build_twq(spec), build_permutational(n // m, _with_cycles(parts)))).rows
+        for m in range(1, n + 1)
+        if n % m == 0
+        for spec in twq_catalog_specs(m)
+        for parts in _partitions(n // m)
+    ]
+
+
+def squares_share_a_row(t):
+    """True iff every square y*y has the same row."""
+    return len({t.rows[t.rows[y][y]] for y in range(t.n)}) == 1
+
+
+def fixture_tables(n):
+    """The tables of ``ell<n>_representatives.txt``: one table per line, each
+    row as a string of digits."""
+    text = Path(__file__).with_name(f"ell{n}_representatives.txt").read_text()
+    return [
+        CayleyTable.from_rows([[int(c) for c in row] for row in line.split()])
+        for line in text.splitlines()
+    ]

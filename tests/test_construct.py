@@ -15,6 +15,7 @@ from tward import (
     build_twq,
     check_identity,
     decompose_block,
+    direct_product,
     recover_structure,
     table_isomorphic,
     twq_spec_isomorphic,
@@ -31,6 +32,21 @@ def _cyclic_group(n):
     return as_group(
         CayleyTable.from_rows([[(x + y) % n for y in range(n)] for x in range(n)])
     )
+
+
+def test_direct_product(table4, cyclic3):
+    """(x, i)*(y, j) = (x*y, i*j) with (x, i) labeled x*|b| + i; a product
+    of twisted Ward tables is twisted Ward."""
+    twq3 = build_twq(TwqSpec(group=as_group(cyclic3), psi=(0, 2, 1), c=0))
+    for a, b in [(table4, twq3), (twq3, build_permutational(2, (1, 0))), (twq3, table4)]:
+        k = b.n
+        t = direct_product(a, b)
+        assert t.n == a.n * k
+        assert all(
+            t.rows[x * k + i][y * k + j] == a.rows[x][y] * k + b.rows[i][j]
+            for x in range(a.n) for i in range(k) for y in range(a.n) for j in range(k)
+        )
+        assert check_identity(t, "twisted_ward")
 
 
 def test_twq_spec_validation(cyclic3):

@@ -16,7 +16,14 @@ from tward import (
     table_isomorphic,
     twq_catalog_specs,
 )
-from conftest import CYCLIC3, TABLE4, reference_min_conjugates, search_finds_table4
+from conftest import (
+    CYCLIC3,
+    TABLE4,
+    product_forms,
+    reference_min_conjugates,
+    search_finds_table4,
+    squares_share_a_row,
+)
 from tward import search
 from tward.construct import build_permutational
 from tward.errors import BudgetExceededError, ConsistencyError
@@ -124,6 +131,30 @@ def test_search_matches_full_sweep_reference(monkeypatch):
             assert nodes >= leaves
 
 
+def test_built_identity_root_matches_its_search():
+    """The identity root's tables, built as LD(H) x P_k, are the tables the
+    search accepts below it."""
+    for n in range(1, 8):
+        identity = search._roots(n)[0]
+        assert identity == tuple(range(n))
+        rows = search._search_root(n, identity, None)[0]
+        assert sorted(search._identity_root(n)) == sorted(rows)
+
+
+# classes whose squares share one row: the sum over m | n of q(m) p(n/m)
+PRODUCT_COUNTS = {1: 1, 2: 3, 3: 5, 4: 12, 5: 11, 6: 23, 7: 21}
+
+
+def test_one_square_row_tables_are_the_products(enum_reports):
+    """The tables of a report whose squares all share one row are the
+    products TWQ(K, phi) x Perm(k, pi), one per pair of classes."""
+    for n, count in PRODUCT_COUNTS.items():
+        forms = product_forms(n)
+        assert len(forms) == len(set(forms)) == count
+        reps = enum_reports(n).representatives
+        assert set(forms) == {t.rows for t in reps if squares_share_a_row(t)}
+
+
 def test_row1_rule_matches_brute_force():
     """The search's row-1 filter keeps exactly the allowed rows that the
     itertools rule keeps, below every root."""
@@ -154,11 +185,13 @@ def test_search_root_leaves_no_cyclic_garbage(deadline):
 
 def test_search_counters(enum_reports):
     report = enum_reports(6)
-    assert report.leaves == 126
-    # without the row-1 rule the search visits 8,269 nodes and 302 leaves;
-    # the full-sweep search without the candidate filter visits 451,999
-    # nodes, the search that learns C_y only from x = y 14,184
-    assert report.leaves <= report.nodes <= 4_163
+    assert report.leaves == 66
+    # below the searched roots, without the row-1 rule the search visits
+    # 5,625 nodes and 101 leaves, and the search that learns C_y only from
+    # x = y 9,220 nodes; with the identity root searched too these were
+    # 8,269, 302 and 14,184, and the full-sweep search without the candidate
+    # filter visited 451,999 nodes
+    assert report.leaves <= report.nodes <= 3_443
 
 
 # (nodes, leaves) of each root, in the order of search._roots(n), of the
@@ -188,15 +221,16 @@ def test_per_root_counts_no_worse_than_x_equals_y_rule(enum_reports):
             assert stats.leaves <= leaves and stats.nodes <= nodes
 
 
-# (nodes, leaves, accepted) of each root, in the order of search._roots(n)
+# (nodes, leaves, accepted) of each root, in the order of search._roots(n);
+# the identity root comes first, built, with no nodes and no leaves
 PER_ROOT_COUNTS = {
-    1: [(1, 1, 1)],
-    2: [(3, 2, 2), (2, 1, 1)],
-    3: [(8, 2, 2), (6, 2, 2), (3, 1, 1)],
-    4: [(24, 9, 4), (21, 5, 4), (12, 2, 2), (9, 4, 2), (6, 3, 2)],
-    5: [(86, 2, 2), (97, 1, 1), (54, 1, 1), (55, 2, 2), (47, 3, 3), (14, 1, 1), (13, 1, 1)],
+    1: [(0, 0, 1)],
+    2: [(0, 0, 2), (2, 1, 1)],
+    3: [(0, 0, 2), (6, 2, 2), (3, 1, 1)],
+    4: [(0, 0, 4), (21, 5, 4), (12, 2, 2), (9, 4, 2), (6, 3, 2)],
+    5: [(0, 0, 2), (97, 1, 1), (54, 1, 1), (55, 2, 2), (47, 3, 3), (14, 1, 1), (13, 1, 1)],
     6: [
-        (720, 60, 5), (973, 11, 2), (470, 9, 3), (712, 14, 7), (500, 5, 2), (242, 1, 1),
+        (0, 0, 5), (973, 11, 2), (470, 9, 3), (712, 14, 7), (500, 5, 2), (242, 1, 1),
         (270, 1, 1), (130, 11, 4), (58, 1, 1), (39, 9, 3), (49, 4, 2),
     ],
 }
@@ -326,10 +360,12 @@ def test_budget_enforced():
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_zero_budget_finishes_no_root(threads):
-    with pytest.raises(BudgetExceededError) as info:
-        enumerate_tw_left_quasigroups(3, budget_seconds=0, threads=threads)
-    assert info.value.completed == 0
-    assert info.value.nodes == info.value.leaves == 0
+    """Not even the built identity root, the only root at n = 1."""
+    for n in (1, 2, 3):
+        with pytest.raises(BudgetExceededError) as info:
+            enumerate_tw_left_quasigroups(n, budget_seconds=0, threads=threads)
+        assert info.value.completed == 0
+        assert info.value.nodes == info.value.leaves == 0
 
 
 def test_budget_error_counts_partial_work(monkeypatch):
@@ -337,11 +373,13 @@ def test_budget_error_counts_partial_work(monkeypatch):
     known poll: the error reports the nodes of the finished roots plus the
     256 per poll passed in the interrupted root."""
     n = 6
-    per_root = [search._search_root(n, root, None) for root in search._roots(n)]
-    # a root that visits k nodes polls at nodes 0, 256, ... below k
-    root_polls = [-(-r[1] // 256) for r in per_root]
-    # the first poll, one inside root 0, one inside root 1, and the last
-    for polls in (1, 1 + root_polls[0] // 2, root_polls[0] + 1 + root_polls[1] // 2, sum(root_polls)):
+    # the built identity root polls once, before it starts, and visits no node
+    per_root = [((), 0, 0)] + [search._search_root(n, root, None) for root in search._roots(n)[1:]]
+    # a searched root that visits k nodes polls at nodes 0, 256, ... below k
+    root_polls = [1] + [-(-r[1] // 256) for r in per_root[1:]]
+    # the identity root's poll, one inside root 1, one inside root 2, and the last
+    first, second = root_polls[1:3]
+    for polls in (1, 2 + first // 2, 2 + first + second // 2, sum(root_polls)):
         ticks = itertools.count()
         monkeypatch.setattr(search, "time", types.SimpleNamespace(monotonic=lambda: next(ticks)))
         with pytest.raises(BudgetExceededError) as info:
@@ -381,6 +419,28 @@ def test_threaded_run_matches_serial(enum_reports):
         return [(r.root, r.nodes, r.leaves, r.accepted) for r in report.roots]
 
     assert counts(parallel) == counts(serial)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_no_pool_for_one_searched_root(monkeypatch, enum_reports, n):
+    """At n = 1 the built identity root is the only root, at n = 2 one
+    root is left to search: two threads start no pool and give the serial
+    report."""
+
+    def no_pool(workers):
+        raise AssertionError(f"a pool of {workers} was started")
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
+    serial = enum_reports(n)
+    parallel = enumerate_tw_left_quasigroups(n, threads=2)
+    assert parallel.summary_line() == serial.summary_line()
+    assert parallel.representatives == serial.representatives
+
+    def counts(report):
+        return [(r.root, r.nodes, r.leaves, r.accepted) for r in report.roots]
+
+    assert counts(parallel) == counts(serial)
+    assert [c[1:] for c in counts(serial)] == PER_ROOT_COUNTS[n]
 
 
 def test_workers_capped_by_roots(monkeypatch, enum_reports):
