@@ -11,10 +11,9 @@ import numpy as np
 from .errors import ConsistencyError, StructureError
 from .tables import CayleyTable, check_identity
 
-BRAID_KINDS = ("derived", "involutive", "idempotent")
-
 # the identity matching each kind; its division form adds "_div" to the name
 _KIND_IDENTITY = {"derived": "rack", "involutive": "rump", "idempotent": "twisted_ward"}
+BRAID_KINDS = tuple(_KIND_IDENTITY)
 
 
 @dataclass(frozen=True)
@@ -33,9 +32,9 @@ class Braiding:
     def apply(self, x: int, y: int) -> tuple[int, int]:
         return self.circ.rows[x][y], self.bullet.rows[x][y]
 
-    def to_text(self, comments=()) -> str:
+    def to_text(self) -> str:
         bullet_rows = self.bullet.to_text().partition("\n")[2]  # no second order line
-        return f"{self.circ.to_text(comments)}# bullet\n{bullet_rows}"
+        return f"{self.circ.to_text()}# bullet\n{bullet_rows}"
 
     @classmethod
     def parse(cls, text: str) -> "Braiding":

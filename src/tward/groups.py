@@ -63,19 +63,16 @@ class FiniteGroup:
         return tuple(c.representative for c in conjugacy_classes(self.automorphisms))
 
 
-def as_group(t: CayleyTable) -> FiniteGroup:
-    """Validate the group axioms and return the group with identity
-    relabeled to 0.  Raises StructureError naming the first failing axiom."""
+def _group_identity(t: CayleyTable) -> int:
+    """The identity of a group table, in the table's own labels.  Raises
+    StructureError naming the first failing axiom."""
     if not t.is_quasigroup:
         raise StructureError("not a quasigroup")
     n = t.n
     rows = t.rows
-    ident = None
-    for e in range(n):
-        if rows[e] == tuple(range(n)) and all(rows[x][e] == x for x in range(n)):
-            ident = e
-            break
-    if ident is None:
+    # columns are permutations, so at most one row is the identity row
+    ident = next((e for e, row in enumerate(rows) if row == tuple(range(n))), None)
+    if ident is None or any(rows[x][ident] != x for x in range(n)):
         raise StructureError("no two-sided identity element")
     for x in range(n):
         for y in range(n):
@@ -86,16 +83,23 @@ def as_group(t: CayleyTable) -> FiniteGroup:
                         f"associativity fails at ({x},{y},{z}): "
                         f"({x}*{y})*{z} = {rows[xy][z]} but {x}*({y}*{z}) = {rows[x][rows[y][z]]}"
                     )
+    return ident
+
+
+def as_group(t: CayleyTable) -> FiniteGroup:
+    """Validate the group axioms and return the group in its own labels,
+    whose identity must be 0: an automorphism given with it is read in the
+    same labels.  Raises StructureError naming the first failing axiom."""
+    ident = _group_identity(t)
     if ident != 0:
-        pi = list(range(n))
-        pi[0], pi[ident] = ident, 0
-        t = t.relabel(pi)
+        raise StructureError(f"the identity is {ident}, not 0")
     return FiniteGroup(t)
 
 
 def is_group(t: CayleyTable) -> bool:
+    """True iff t is a group table, with its identity at any label."""
     try:
-        as_group(t)
+        _group_identity(t)
         return True
     except StructureError:
         return False

@@ -159,18 +159,18 @@ def _least_row1(n: int, root: Perm, idx: np.ndarray) -> np.ndarray:
     stab = slice(1, math.factorial(max(n - 2, 0)))
     r = np.array(root)
     fixers = (C[stab][:, r] == r[C[stab]]).all(axis=1)
+    # idx never empties: pi fixes the root's own row, which survivors keeps
     for pi, pinv in zip(C[stab][fixers], CI[stab][fixers]):
-        if not len(idx):
-            break
         idx = idx[pi[C[idx][:, pinv]] @ powers >= codes[idx]]
     return idx
 
 
 def _search_root(
     n: int, root: Perm, deadline: float | None
-) -> tuple[list[tuple[tuple[int, ...], ...]], int, int]:
+) -> tuple[list[tuple[tuple[int, ...], ...]], RootStats]:
     """All self-canonical twisted Ward left quasigroup tables with first row
-    equal to ``root``, with the number of nodes and of leaves visited."""
+    equal to ``root``, with the nodes and leaves visited and the seconds taken."""
+    began = perf_counter()
     perms, inverses, row_of, powers, codes = _order_tables(n)
     CI, C = _perm_arrays(n)
     # a row is allowed below root r iff its least conjugate is row r or later
@@ -261,13 +261,19 @@ def _search_root(
             idx = _least_row1(n, root, idx)
         for i in reversed(idx.tolist()):
             stack.append((rows[:j] + [i] + rows[j + 1 :], comp, j))
-    return results, nodes, leaves
+    return results, RootStats(root, nodes, leaves, len(results), perf_counter() - began)
 
 
-def _identity_root(n: int) -> list[tuple[tuple[int, ...], ...]]:
-    """The canonical tables below the identity root, built rather than
-    searched: LD(H) x P_k for each group H of order m | n, k = n // m."""
-    return [
+def _identity_root(
+    n: int, root: Perm, deadline: float | None
+) -> tuple[list[tuple[tuple[int, ...], ...]], RootStats]:
+    """The canonical tables below the identity root ``root``, built rather
+    than searched: LD(H) x P_k for each group H of order m | n, k = n // m.
+    Like a searched root, it never starts past the deadline."""
+    if deadline is not None and time.monotonic() >= deadline:
+        raise BudgetExceededError(f"enumeration budget exceeded at order {n}")
+    began = perf_counter()
+    rows = [
         canonical_form(direct_product(
             build_twq(TwqSpec(h, identity_perm(m), 0)),
             build_permutational(n // m, identity_perm(n // m)),
@@ -276,6 +282,7 @@ def _identity_root(n: int) -> list[tuple[tuple[int, ...], ...]]:
         if n % m == 0
         for h in enumerate_groups(m)
     ]
+    return rows, RootStats(root, 0, 0, len(rows), perf_counter() - began)
 
 
 def _kind(t: CayleyTable) -> str:
@@ -286,15 +293,6 @@ def _kind(t: CayleyTable) -> str:
     if flags.is_permutational:
         return "permutational"
     return "quasigroup" if flags.is_quasigroup else "neither"
-
-
-def _timed_root(
-    n: int, root: Perm, deadline: float | None
-) -> tuple[list[tuple[tuple[int, ...], ...]], RootStats]:
-    """``_search_root`` with its counts and seconds as a RootStats."""
-    began = perf_counter()
-    rows, nodes, leaves = _search_root(n, root, deadline)
-    return rows, RootStats(root, nodes, leaves, len(rows), perf_counter() - began)
 
 
 def enumerate_tw_left_quasigroups(
@@ -319,16 +317,13 @@ def enumerate_tw_left_quasigroups(
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
     # the identity is the least row of S_n, so it is the first root
     identity, *roots = _roots(n)
-    if deadline is not None and time.monotonic() >= deadline:
-        raise BudgetExceededError(f"enumeration budget exceeded at order {n}")
-    began = perf_counter()
-    all_rows = _identity_root(n)
-    stats = [RootStats(identity, 0, 0, len(all_rows), perf_counter() - began)]
+    all_rows, identity_stats = _identity_root(n, identity, deadline)
+    stats = [identity_stats]
     parallel = threads > 1 and len(roots) > 1
     with ProcessPoolExecutor(min(threads, len(roots))) if parallel else contextlib.nullcontext() as pool:
         jobs = (itertools.repeat(n), roots, itertools.repeat(deadline))
         try:
-            for rows, root_stats in (pool.map if parallel else map)(_timed_root, *jobs):
+            for rows, root_stats in (pool.map if parallel else map)(_search_root, *jobs):
                 all_rows.extend(rows)
                 stats.append(root_stats)
         except BudgetExceededError as exc:
@@ -364,12 +359,7 @@ def twq_catalog_specs(n: int):
     ]
 
 
-def enumerate_tw_quasigroups(
-    n: int,
-    budget_seconds: float | None = DEFAULT_BUDGET,
-    threads: int = 1,
-    cross_check: bool | None = None,
-) -> tuple[CayleyTable, ...]:
+def enumerate_tw_quasigroups(n: int, cross_check: bool | None = None) -> tuple[CayleyTable, ...]:
     """Canonical representatives of all twisted Ward quasigroups of order n.
 
     Pipeline (b) builds them from the group catalog; with cross_check
@@ -390,7 +380,7 @@ def enumerate_tw_quasigroups(
     if cross_check is None:
         cross_check = n <= 6
     if cross_check:
-        report = enumerate_tw_left_quasigroups(n, budget_seconds, threads)
+        report = enumerate_tw_left_quasigroups(n)
         filtered = [t for t in report.representatives if t.is_quasigroup]
         if len(filtered) != len(reps):
             raise ConsistencyError(

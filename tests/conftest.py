@@ -48,6 +48,9 @@ TABLE6 = CayleyTable.from_rows([_R1, _R2, _R1, _R2, _R1, _R2])
 
 CYCLIC3 = CayleyTable.from_rows([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
 
+# the cyclic group of order 3 written with its identity at 2; inversion is 1 0 2
+CYCLIC3_IDENTITY_2 = CayleyTable.from_rows([[1, 2, 0], [2, 0, 1], [0, 1, 2]])
+
 
 @pytest.fixture
 def table4():

@@ -10,12 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tward import CayleyTable, search
+from tward import CayleyTable, build_twq, search
 from tward.cli import IDENTITY_NAMES, main
 from tward.groups import MAX_GROUP_ORDER
 from tward.tables import IDENTITY_KINDS
 
-from conftest import CYCLIC3, TABLE4, search_finds_table4
+from conftest import CYCLIC3, CYCLIC3_IDENTITY_2, TABLE4, search_finds_table4
 
 
 @pytest.fixture
@@ -175,6 +175,25 @@ def test_iso(capsys, table4_file, cyclic3_file, tmp_path):
     assert code == 1 and out.startswith("RESULT: non-isomorphic")
 
 
+def test_iso_via_spec(capsys, table4_file, tmp_path):
+    """Through recovered presentations: a twisted Ward quasigroup and a
+    relabeled copy are isomorphic, two catalog classes are not, and a table
+    that is no quasigroup has no presentation."""
+    first, second = (build_twq(spec) for spec in search.twq_catalog_specs(6)[1:3])
+    third = build_twq(search.twq_catalog_specs(3)[0])
+    paths = {}
+    for name, t in (("a", first), ("a2", first.relabel([3, 5, 0, 4, 1, 2])), ("b", second), ("c", third)):
+        paths[name] = tmp_path / f"{name}.tbl"
+        paths[name].write_text(t.to_text())
+    code, out = run(capsys, "iso", str(paths["a"]), str(paths["a2"]), "--via-spec")
+    assert (code, out) == (0, "RESULT: isomorphic\n")
+    for other in ("b", "c"):  # another class of order 6, and one of order 3
+        code, out = run(capsys, "iso", str(paths["a"]), str(paths[other]), "--via-spec")
+        assert (code, out) == (1, "RESULT: non-isomorphic\n")
+    code, out = run(capsys, "iso", table4_file, table4_file, "--via-spec")
+    assert code == 2 and out.startswith("RESULT: error")
+
+
 def test_iso_tables_with_non_permutation_rows(capsys, tmp_path):
     """Swapping 0 and 1 maps the table with every row 0 1 1 to the one with
     every row 0 1 0."""
@@ -183,6 +202,24 @@ def test_iso_tables_with_non_permutation_rows(capsys, tmp_path):
     second.write_text("3\n" + "0 1 0\n" * 3)
     code, out = run(capsys, "iso", str(first), str(second))
     assert code == 0 and out.startswith("RESULT: isomorphic")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["twq", "--psi", "1 0 2"],  # inversion, an automorphism in these labels
+        ["twq", "--psi", "0 2 1"],  # moves the identity
+        ["affine", "--phi", "2 2 2", "--psi", "1 0 2"],
+    ],
+    ids=["twq-inversion", "twq-moves-identity", "affine"],
+)
+def test_construct_group_with_identity_not_0(capsys, tmp_path, argv):
+    """A group file is read in its own labels, as its automorphisms are, so
+    one whose identity is not 0 is refused rather than relabeled."""
+    path = tmp_path / "g.tbl"
+    path.write_text(CYCLIC3_IDENTITY_2.to_text())
+    code, out = run(capsys, "construct", argv[0], str(path), *argv[1:])
+    assert (code, out) == (2, "RESULT: error (the identity is 2, not 0)\n")
 
 
 def test_braiding_verify(capsys, table4_file):
@@ -224,6 +261,20 @@ def test_groups_verb(capsys):
     code, out = run(capsys, "groups", "8")
     assert code == 0
     assert out.splitlines()[0] == "RESULT: 5 groups of order 8"
+    code, out = run(capsys, "groups", str(MAX_GROUP_ORDER + 1))
+    assert code == 2 and out.startswith("RESULT: error (group enumeration supports")
+
+
+def test_python_m_tward():
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "tward", "count", "p", "5"],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "RESULT: 7\n", "")
 
 
 def test_count_verbs(capsys):

@@ -20,12 +20,14 @@ from tward import (
     table_isomorphic,
     twq_spec_isomorphic,
 )
-from tward.construct import BlockRejectionError, _isotope
-from tward.errors import IdentityViolationError
+from tward.construct import BlockRejectionError, DisElementForm, _isotope, dis_element_form
+from tward.errors import IdentityViolationError, StructureError
 from tward.groups import enumerate_groups
 from tward.perms import compose, identity_perm
 from tward.search import twq_catalog_specs
 from tward.tables import find_all_isomorphisms
+
+from conftest import CYCLIC3_IDENTITY_2
 
 
 def _cyclic_group(n):
@@ -92,6 +94,22 @@ def test_twq_spec_text_round_trip(cyclic3):
     parsed = TwqSpec.parse(spec.to_text())
     assert parsed.group.table == spec.group.table
     assert parsed.psi == spec.psi and parsed.c == spec.c
+
+
+def test_twq_spec_parse_rejects_identity_not_0():
+    """psi is read in the group's labels, so the group is not relabeled:
+    inversion of C3 written with identity 2 is refused with the reason."""
+    text = CYCLIC3_IDENTITY_2.to_text() + "# psi\n1 0 2\n# c\n0\n"
+    with pytest.raises(StructureError, match=r"^the identity is 2, not 0$"):
+        TwqSpec.parse(text)
+
+
+def test_dis_element_form_at_square_1(cyclic3):
+    """With c = 1 every square is 1, and the isotope at 1 is a group whose
+    identity is 1."""
+    t = build_twq(TwqSpec(as_group(cyclic3), (0, 2, 1), 1))
+    assert set(t.rows[x][x] for x in range(3)) == {1}
+    assert dis_element_form(t) == DisElementForm(e=1, verified=True)
 
 
 def test_build_affine():

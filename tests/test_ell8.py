@@ -48,16 +48,16 @@ def test_ell8_products_and_identity_root():
     forms = product_forms(8)
     assert len(forms) == len(set(forms)) == 62
     assert set(forms) == {t.rows for t in tables if squares_share_a_row(t)}
-    built = search._identity_root(8)
+    built = search._identity_root(8, IDENTITY, None)[0]
     assert sorted(built) == [t.rows for t in tables if t.rows[0] == IDENTITY]
     assert len(built) == 9
 
 
 @pytest.mark.slow
 def test_ell8_identity_root_search():
-    rows, nodes, leaves = search._search_root(8, IDENTITY, None)
-    assert sorted(rows) == sorted(search._identity_root(8))
-    assert (nodes, leaves) == (84_079, 985)
+    rows, stats = search._search_root(8, IDENTITY, None)
+    assert sorted(rows) == sorted(search._identity_root(8, IDENTITY, None)[0])
+    assert (stats.nodes, stats.leaves) == (84_079, 985)
 
 
 @pytest.mark.slow

@@ -42,7 +42,7 @@ def test_ell9_fixture_against_independent_facts():
     forms = product_forms(9)
     assert len(forms) == len(set(forms)) == 50
     assert set(forms) == {t.rows for t in tables if squares_share_a_row(t)}
-    built = search._identity_root(9)
+    built = search._identity_root(9, tuple(range(9)), None)[0]
     assert sorted(built) == [t.rows for t in tables if t.rows[0] == tuple(range(9))]
     assert len(built) == 4
 

@@ -24,6 +24,8 @@ from tward.errors import ConsistencyError, StructureError
 from tward.groups import CLASSICAL_GROUP_COUNTS, MAX_GROUP_ORDER, FiniteGroup
 from tward.perms import compose, inverse
 
+from conftest import CYCLIC3_IDENTITY_2
+
 Q_EXPECTED = (1, 1, 2, 5, 4, 5, 6, 25, 14, 9, 10)
 P_EXPECTED = (1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56)
 
@@ -39,12 +41,20 @@ def test_as_group_validates(cyclic3, table4):
         as_group(CayleyTable.from_rows([[1, 0, 2], [0, 2, 1], [2, 1, 0]]))
 
 
-def test_as_group_relabels_identity():
-    # Z2 with identity sitting at label 1
-    t = CayleyTable.from_rows([[1, 0], [0, 1]])
-    shifted = CayleyTable.from_rows([[0, 1], [1, 0]])
-    assert is_group(shifted)
-    assert as_group(shifted).table.rows[0] == (0, 1)
+def test_as_group_rejects_identity_not_0():
+    """A group is read in its own labels: written with its identity at 1
+    or 2 it is a group, but as_group does not relabel it."""
+    z2 = CayleyTable.from_rows([[1, 0], [0, 1]])
+    for t, e in ((z2, 1), (CYCLIC3_IDENTITY_2, 2)):
+        assert is_group(t)
+        with pytest.raises(StructureError, match=rf"^the identity is {e}, not 0$"):
+            as_group(t)
+
+
+@pytest.mark.parametrize("n", [0, MAX_GROUP_ORDER + 1])
+def test_enumerate_groups_order_bounds(n):
+    with pytest.raises(ValueError, match="group enumeration supports"):
+        enumerate_groups(n)
 
 
 def test_nonassociative_rejected():

@@ -121,7 +121,9 @@ def test_search_matches_full_sweep_reference(monkeypatch):
     for n in range(1, 7):
         for root in search._roots(n):
             checked.clear()
-            rows, nodes, leaves = search._search_root(n, root, None)
+            rows, stats = search._search_root(n, root, None)
+            nodes, leaves = stats.nodes, stats.leaves
+            assert (stats.root, stats.accepted) == (root, len(rows))
             expected = _reference_leaves(n, root)
             assert set(checked) <= set(expected) and leaves == len(checked) == len(set(checked))
             accepted = [t for t in expected if is_self_canonical(CayleyTable(t))]
@@ -138,7 +140,9 @@ def test_built_identity_root_matches_its_search():
         identity = search._roots(n)[0]
         assert identity == tuple(range(n))
         rows = search._search_root(n, identity, None)[0]
-        assert sorted(search._identity_root(n)) == sorted(rows)
+        built, stats = search._identity_root(n, identity, None)
+        assert sorted(built) == sorted(rows)
+        assert (stats.root, stats.nodes, stats.leaves, stats.accepted) == (identity, 0, 0, len(rows))
 
 
 # classes whose squares share one row: the sum over m | n of q(m) p(n/m)
@@ -317,6 +321,22 @@ def test_search_dropping_a_quasigroup_raises(monkeypatch):
         enumerate_tw_quasigroups(4, cross_check=True)
 
 
+def test_cross_check_runs_automatically_to_order_6(monkeypatch):
+    """With cross_check omitted, the search pipeline runs at n = 6 and not
+    at n = 7."""
+    calls = []
+    real = search.enumerate_tw_left_quasigroups
+
+    def counted(n, *args, **kwargs):
+        calls.append(n)
+        return real(n, *args, **kwargs)
+
+    monkeypatch.setattr(search, "enumerate_tw_left_quasigroups", counted)
+    enumerate_tw_quasigroups(6)
+    enumerate_tw_quasigroups(7)
+    assert calls == [6]
+
+
 def test_dichotomy_small():
     for p in (2, 3, 5):
         report = dichotomy_report(p)
@@ -374,9 +394,11 @@ def test_budget_error_counts_partial_work(monkeypatch):
     256 per poll passed in the interrupted root."""
     n = 6
     # the built identity root polls once, before it starts, and visits no node
-    per_root = [((), 0, 0)] + [search._search_root(n, root, None) for root in search._roots(n)[1:]]
+    per_root = [search.RootStats((), 0, 0, 0, 0.0)] + [
+        search._search_root(n, root, None)[1] for root in search._roots(n)[1:]
+    ]
     # a searched root that visits k nodes polls at nodes 0, 256, ... below k
-    root_polls = [1] + [-(-r[1] // 256) for r in per_root[1:]]
+    root_polls = [1] + [-(-r.nodes // 256) for r in per_root[1:]]
     # the identity root's poll, one inside root 1, one inside root 2, and the last
     first, second = root_polls[1:3]
     for polls in (1, 2 + first // 2, 2 + first + second // 2, sum(root_polls)):
@@ -390,9 +412,9 @@ def test_budget_error_counts_partial_work(monkeypatch):
             done += 1
         exc = info.value
         assert exc.completed == done
-        assert exc.nodes == sum(r[1] for r in per_root[:done]) + 256 * left
-        finished_leaves = sum(r[2] for r in per_root[:done])
-        assert finished_leaves <= exc.leaves <= finished_leaves + per_root[done][2]
+        assert exc.nodes == sum(r.nodes for r in per_root[:done]) + 256 * left
+        finished_leaves = sum(r.leaves for r in per_root[:done])
+        assert finished_leaves <= exc.leaves <= finished_leaves + per_root[done].leaves
 
 
 def test_budget_and_threads_validated():
