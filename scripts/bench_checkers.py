@@ -12,6 +12,8 @@ calls it only on holding braidings).  At the same orders it times ``to_braiding`
 ``CayleyTable`` build of their input.  In the catalog layer it times
 ``canonical_form`` on the catalog tables of orders 8 and 9,
 ``twq_spec_isomorphic`` over all ordered pairs of catalog specs of order 8,
+``recover_structure`` on three seeded relabelings of each catalog table of
+order n <= 9 (189 tables),
 ``table_isomorphic`` over all ordered pairs of catalog tables of order 8,
 ``find_all_isomorphisms``, ``automorphism_group`` and ``conjugacy_classes``
 of the result on C2^4 (the xor table of order 16, 20,160 automorphisms) and
@@ -193,10 +195,25 @@ def perm_arrays_digest(perms, invs):
     return digest((np.unique(perms, axis=0).tobytes(), inverse))
 
 
+def relabeled_catalog_tables(tw):
+    """Three seeded relabelings of each catalog table of order n <= 9."""
+    rng = random.Random("bench-recover")
+    tables = []
+    for n in range(1, 10):
+        for s in tw.twq_catalog_specs(n):
+            t = tw.build_twq(s)
+            for _ in range(3):
+                pi = list(range(n))
+                rng.shuffle(pi)
+                tables.append(t.relabel(pi))
+    return tables
+
+
 def catalog_cases(tw):
-    """Rows of the catalog layer: canonical forms, spec and table isomorphism,
-    all automorphisms of C2^4, their group and its conjugacy classes, and the
-    permutation arrays of the canonical-form filter."""
+    """Rows of the catalog layer: canonical forms, spec isomorphism, structure
+    recovery from relabeled tables, table isomorphism, all automorphisms of
+    C2^4, their group and its conjugacy classes, and the permutation arrays
+    of the canonical-form filter."""
     perm_arrays = tw.tables._perm_arrays
     rows = []
     for n in (8, 9):
@@ -216,6 +233,16 @@ def catalog_cases(tw):
         function="twq_spec_isomorphic", kind="catalog pairs", n=8, case=f"{len(specs) ** 2} pairs",
         table="catalog specs", holds=None, triples_to_verdict=None, calls=len(specs) ** 2,
         output=digest(matrix()), call=matrix,
+    ))
+    relabeled = relabeled_catalog_tables(tw)
+
+    def recovered():
+        return [tw.recover_structure(t).to_text() for t in relabeled]
+
+    rows.append(dict(
+        function="recover_structure", kind="relabeled catalog", n=9, case=f"{len(relabeled)} tables",
+        table="build_twq relabeled", holds=None, triples_to_verdict=None, calls=len(relabeled),
+        output=digest(recovered()), call=recovered,
     ))
     tables = [tw.build_twq(s) for s in specs]
 

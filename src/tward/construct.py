@@ -21,7 +21,6 @@ from .tables import (
     cayley_kernel,
     check_identity,
     find_isomorphism,
-    table_isomorphic,
 )
 
 
@@ -236,22 +235,17 @@ def recover_structure(t: CayleyTable) -> TwqSpec:
 
     e is the unique square.  After relabeling by the transposition (0 e), the
     group is the isotope x <> y = (x rdiv 0)*(0 ldiv y) with identity 0, psi
-    is the left translation by 0, and c = 0.  The presentation is verified
-    pointwise and by a rebuild round trip against the table as given.
+    is the left translation by 0, and c = 0.  The presentation is verified by
+    rebuilding: build_twq(spec), relabeled back by (0 e), is the table as given.
     """
     if not t.is_quasigroup or not check_identity(t, "twisted_ward"):
         raise IdentityViolationError("structure recovery needs a twisted Ward quasigroup")
     e = t.rows[0][0]
-    u = t.relabel([{0: e, e: 0}.get(x, x) for x in range(t.n)])
-    diamond = _isotope(u, 0)
-    psi = u.rows[0]
-    # verify x*y = c . psi(x^-1 <> y) with c = 0, row x twisting the left division row of x
-    er = diamond.rows[0]
-    if any(row != tuple(er[psi[d]] for d in ld) for row, ld in zip(u.rows, diamond._ldiv_rows)):
+    tau = [{0: e, e: 0}.get(x, x) for x in range(t.n)]
+    u = t.relabel(tau)
+    spec = TwqSpec(group=as_group(_isotope(u, 0)), psi=u.rows[0], c=0)
+    if build_twq(spec).relabel(tau) != t:
         raise ConsistencyError("recovered presentation does not reproduce the table")
-    spec = TwqSpec(group=as_group(diamond), psi=psi, c=0)
-    if not table_isomorphic(build_twq(spec), t):
-        raise ConsistencyError("rebuilt table is not isomorphic to the input")
     return spec
 
 

@@ -24,15 +24,16 @@ CLASSICAL_GROUP_COUNTS = (1, 1, 1, 2, 1, 2, 1, 5, 2, 2, 1, 5)
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    """A group presented by its Cayley table, identity normalized to 0."""
+    """A group presented by its Cayley table, with identity 0.  Construction
+    checks the group axioms and raises StructureError naming the first that
+    fails."""
 
     table: CayleyTable
 
     def __post_init__(self):
-        if self.table.rows[0] != tuple(range(self.n)):
-            raise ValueError("group table must have identity 0")
-        if not self.table.is_quasigroup:  # a group table is latin; inv finds 0 in each row
-            raise ValueError("group table must be a quasigroup")
+        ident = _group_identity(self.table)
+        if ident != 0:
+            raise StructureError(f"the identity is {ident}, not 0")
 
     @property
     def n(self) -> int:
@@ -87,12 +88,9 @@ def _group_identity(t: CayleyTable) -> int:
 
 
 def as_group(t: CayleyTable) -> FiniteGroup:
-    """Validate the group axioms and return the group in its own labels,
-    whose identity must be 0: an automorphism given with it is read in the
-    same labels.  Raises StructureError naming the first failing axiom."""
-    ident = _group_identity(t)
-    if ident != 0:
-        raise StructureError(f"the identity is {ident}, not 0")
+    """The group of t in its own labels, whose identity must be 0: an
+    automorphism given with it is read in the same labels.  Raises
+    StructureError naming the first failing axiom."""
     return FiniteGroup(t)
 
 

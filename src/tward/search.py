@@ -333,7 +333,7 @@ def enumerate_tw_left_quasigroups(
                 nodes=sum(r.nodes for r in stats) + exc.nodes,
                 leaves=sum(r.leaves for r in stats) + exc.leaves,
             ) from exc
-    tables = [CayleyTable._derived(rows) for rows in sorted(set(all_rows))]
+    tables = [CayleyTable._derived(rows) for rows in sorted(all_rows)]
     kinds = Counter(map(_kind, tables))
     return EnumerationReport(
         n=n,

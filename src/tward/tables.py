@@ -248,8 +248,7 @@ def check_identity(t: CayleyTable, kind: str, witness: bool = False):
         translations = _TRANSLATIONS[kind]
     except (KeyError, TypeError):  # TypeError: an unhashable kind
         raise ValueError(f"unknown identity kind {kind!r}") from None
-    if not t.is_left_quasigroup:
-        raise StructureError("table is not a left quasigroup")
+    _require_lq(t)
     rows = t.rows
     n = len(rows)
     ld = t._ldiv_rows if kind.endswith("_div") else None

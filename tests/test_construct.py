@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -20,8 +22,9 @@ from tward import (
     table_isomorphic,
     twq_spec_isomorphic,
 )
+from tward import construct
 from tward.construct import BlockRejectionError, DisElementForm, _isotope, dis_element_form
-from tward.errors import IdentityViolationError, StructureError
+from tward.errors import ConsistencyError, IdentityViolationError, StructureError
 from tward.groups import enumerate_groups
 from tward.perms import compose, identity_perm
 from tward.search import twq_catalog_specs
@@ -202,6 +205,15 @@ def test_recover_structure(cyclic3):
             assert twq_spec_isomorphic(rec, TwqSpec(group=g, psi=psi, c=0))
 
 
+def test_recover_structure_refuses_a_wrong_rebuild(cyclic3, monkeypatch):
+    """A presentation whose rebuild is not the input is never returned."""
+    real = construct.build_twq
+    t = real(TwqSpec(group=as_group(cyclic3), psi=(0, 2, 1), c=0))
+    monkeypatch.setattr(construct, "build_twq", lambda spec: real(dataclasses.replace(spec, c=1)))
+    with pytest.raises(ConsistencyError, match="does not reproduce the table"):
+        recover_structure(t)
+
+
 def test_recover_rejects_non_quasigroup(table4):
     with pytest.raises(IdentityViolationError):
         recover_structure(table4)
@@ -329,3 +341,26 @@ def test_isotope_matches_reference(n):
         t = build_twq(s)
         for e in range(n):
             assert _isotope(t, e).rows == _reference_isotope(t, e).rows
+
+
+def _relabeled_catalog_tables():
+    """Three seeded relabelings of each catalog table of order n <= 9, 189 in all."""
+    rng = random.Random("recover-relabelings")
+    for n in range(1, 10):
+        for s in twq_catalog_specs(n):
+            t = build_twq(s)
+            for _ in range(3):
+                pi = list(range(n))
+                rng.shuffle(pi)
+                yield t.relabel(pi)
+
+
+# sha256 of the concatenated recover_structure(t).to_text() over _relabeled_catalog_tables()
+RECOVERED_DIGEST = "46b2796b7c1ed29d54ff768f74bd8ea3cbf8a451901f98ed9efdc0b9cbec327f"
+
+
+def test_recover_structure_pinned_on_relabeled_catalog():
+    tables = list(_relabeled_catalog_tables())
+    assert len(tables) == 189
+    text = "".join(recover_structure(t).to_text() for t in tables)
+    assert hashlib.sha256(text.encode()).hexdigest() == RECOVERED_DIGEST

@@ -57,18 +57,30 @@ def test_enumerate_groups_order_bounds(n):
         enumerate_groups(n)
 
 
+# a latin square with identity 0 that is not associative: a loop, not a group
+NONASSOCIATIVE_LOOP = CayleyTable.from_rows(
+    [
+        [0, 1, 2, 3, 4],
+        [1, 0, 3, 4, 2],
+        [2, 3, 4, 0, 1],
+        [3, 4, 1, 2, 0],
+        [4, 2, 0, 1, 3],
+    ]
+)
+
+
 def test_nonassociative_rejected():
-    # latin square with identity 0 that is not associative
-    t = CayleyTable.from_rows(
-        [
-            [0, 1, 2, 3, 4],
-            [1, 0, 3, 4, 2],
-            [2, 3, 4, 0, 1],
-            [3, 4, 1, 2, 0],
-            [4, 2, 0, 1, 3],
-        ]
-    )
-    assert not is_group(t)
+    assert not is_group(NONASSOCIATIVE_LOOP)
+
+
+def test_finite_group_rejects_nonassociative_loop():
+    """Identity 0 and latin rows are not enough: no FiniteGroup, hence no
+    TwqSpec and no build_twq table, exists over the loop."""
+    with pytest.raises(StructureError, match="^associativity fails at"):
+        FiniteGroup(NONASSOCIATIVE_LOOP)
+    spec_text = NONASSOCIATIVE_LOOP.to_text() + "# psi\n0 1 2 3 4\n# c\n0\n"
+    with pytest.raises(StructureError, match="^associativity fails at"):
+        TwqSpec.parse(spec_text)
 
 
 def test_group_counts_per_order():
@@ -205,7 +217,7 @@ def test_counts_row_prime_identity_failure(monkeypatch):
 
 
 def test_group_table_identity_normalized():
-    with pytest.raises(ValueError):
+    with pytest.raises(StructureError, match="^the identity is 1, not 0$"):
         FiniteGroup(CayleyTable.from_rows([[1, 0], [0, 1]]))
 
 
@@ -214,5 +226,5 @@ def test_group_table_must_be_a_quasigroup():
     without an inverse, in the second every row is a permutation but column
     0 repeats 0."""
     for rows in (((0, 1), (1, 1)), ((0, 1), (0, 1))):
-        with pytest.raises(ValueError, match="must be a quasigroup"):
+        with pytest.raises(StructureError, match="^not a quasigroup$"):
             FiniteGroup(CayleyTable(rows))
