@@ -12,7 +12,7 @@ import sys
 from tward import counts_row
 from tward.errors import BudgetExceededError
 from tward.groups import MAX_GROUP_ORDER
-from tward.search import DEFAULT_BUDGET, MAX_ENUM_ORDER
+from tward.search import DEFAULT_BUDGET
 
 
 def main() -> int:
@@ -28,7 +28,7 @@ def main() -> int:
 
     print(f"{'n':>3} {'ell':>6} {'q':>6} {'p':>6}")
     for n in range(1, args.max_n + 1):
-        with_ell = n <= min(args.ell_max_n, MAX_ENUM_ORDER)
+        with_ell = n <= args.ell_max_n
         try:
             row = counts_row(n, with_ell=with_ell, budget_seconds=args.budget)
             ell = "" if row.ell is None else row.ell

@@ -12,7 +12,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import braidings, construct, groups, perms, search, tables
-from .errors import AlgebraError, BudgetExceededError, StructureError
+from .errors import AlgebraError, BudgetExceededError
 
 IDENTITY_NAMES = {
     kind.replace("twisted_ward", "tw").replace("_", "-"): kind for kind in tables.IDENTITY_KINDS
@@ -306,7 +306,7 @@ def main(argv=None) -> int:
         if getattr(args, "stats", False):
             print(f"nodes {exc.nodes} leaves {exc.leaves} completed {exc.completed}")
         return EXIT_BUDGET
-    except (OSError, ValueError, StructureError, AlgebraError) as exc:
+    except (OSError, ValueError, AlgebraError) as exc:
         print(f"RESULT: error ({exc})")
         return EXIT_USAGE
 

@@ -157,9 +157,6 @@ class BlockFamily:
             if len(f) != m or not is_perm(f):
                 raise ValueError("each f_x must be a bijection of X x A")
 
-    def first(self, x: int, flat: int) -> int:
-        return self.maps[x][flat] // self.a_size
-
 
 def build_block(fam: BlockFamily) -> CayleyTable:
     """Table (x,a)*(y,b) = f_x(y,b), accepted iff f_{f_x^[1](y,b)} o f_x is
@@ -170,7 +167,7 @@ def build_block(fam: BlockFamily) -> CayleyTable:
         composite: Optional[Perm] = None
         first_x: Optional[int] = None
         for x in range(fam.x_size):
-            comp = compose(fam.maps[fam.first(x, flat)], fam.maps[x])
+            comp = compose(fam.maps[fam.maps[x][flat] // d], fam.maps[x])
             if composite is None:
                 composite, first_x = comp, x
             elif comp != composite:

@@ -3,8 +3,8 @@
 The search assigns rows (left translations) as whole permutations.  In
 translation form the defining identity (x*y)*(x*z) = (y*y)*(y*z) says that
 for each y the composite C_y = L_{x*y} L_x is the same for every x.  A node
-holds the rows set so far and, for each y, C_y once some set row x has its
-row L_{x*y} set too; every other set x then forces L_{x*y} = C_y L_x^{-1},
+holds the rows set so far and, for each y, C_y once propagation learns it
+from a pair of set rows; every set x then forces L_{x*y} = C_y L_x^{-1},
 which fixes most rows once a few are chosen.  Isomorph rejection keeps a
 completed table only if it equals its own canonical form; the search space
 is cut beforehand by three sound facts about canonical tables: row 0 is the
@@ -30,16 +30,24 @@ The search below a root is one loop over a stack of nodes, each a value
 (rows, comp, k): each row's number (-1 while unset), the C_y known to its
 parent, and the row k it set, which starts propagation on a copy of comp.
 
-Propagation runs on a worklist of newly set rows.  A node's parent is already
-at a fixpoint: every pair (x, x*y) of set rows agrees with a known C_y.  So
-for a new row k and each y, only pairs that involve k can teach or break
-anything.  If C_y is unknown, it is learned from a pair with k as x, that
-is (k, k*y), or with k as x*y, that is any set x with x*y = k; once learned,
-one sweep over the set rows forces L_{x*y} for every x.  If C_y is known,
-only x = k is forced: a pair (x, k) was checked when x was popped, or by the
-sweep that learned C_y.  A forced row must be allowed (a lookup in the root's
-mask) and joins the worklist.  The fixpoint is unique, so the order of the
-worklist does not change the leaves.
+Propagation runs on a worklist of newly set rows; each set row is popped
+once, in the node that sets it.  When row k is popped, for each y: if C_y is
+unknown and row k*y is set, C_y is learned from the pair (k, k*y) and one
+sweep over the set rows forces L_{x*y} for every x; if C_y is known, only
+x = k is forced.  A forced row must be allowed (a lookup in the root's mask)
+and joins the worklist.  Three facts make this enough:
+
+- Sound: a pair (x, x*y) of set rows is compared with C_y by the sweep that
+  learns C_y or when row x is popped.  At a leaf every row is set, so the
+  last row popped learns every C_y still unknown from (k, k*y) and its sweep
+  checks every pair: every leaf satisfies the identity.
+- Complete: a learned C_y is that of every table below the node that
+  satisfies the identity, so no such table is lost, whatever the order of
+  the worklist; learning fewer composites can only prune less.
+- Same work: also learning C_y from any set x with x*y = k, run beside this
+  rule from every node of every root for every n <= 9, gave the same
+  verdict, rows and known composites at each node, so the same nodes and
+  leaves.
 
 At a branch point the first unset row j is tried only with the candidates
 that survive the same rule with x = j, applied to all candidates at once in
@@ -188,16 +196,11 @@ def _search_root(
                 if cy is not None:
                     xs: range | tuple[int] = (k,)
                 else:
-                    # learn C_y from (k, k*y), else from some (x, k) with x*y = k
+                    # learn C_y from (k, k*y)
                     rky = rows[lk[y]]
-                    if rky >= 0:
-                        cy = compose(perms[rky], lk)
-                    else:
-                        lx = next((perms[r] for r in rows if r >= 0 and perms[r][y] == k), None)
-                        if lx is None:
-                            continue
-                        cy = compose(lk, lx)
-                    comp[y] = cy
+                    if rky < 0:
+                        continue
+                    cy = comp[y] = compose(perms[rky], lk)
                     xs = range(n)
                 for x in xs:
                     rx = rows[x]

@@ -290,10 +290,6 @@ class Partition:
         blocks = sorted((tuple(sorted(b)) for b in by_label.values()), key=lambda b: b[0])
         return cls(tuple(blocks))
 
-    @classmethod
-    def singletons(cls, n: int) -> "Partition":
-        return cls(tuple((i,) for i in range(n)))
-
     @property
     def n(self) -> int:
         return sum(len(b) for b in self.blocks)

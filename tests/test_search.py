@@ -215,7 +215,7 @@ X_EQUALS_Y_COUNTS = {
 
 def test_per_root_counts_no_worse_than_x_equals_y_rule(enum_reports):
     """The search that learns C_y only from x = y reaches the full-sweep
-    search's leaves; learning C_y from any row, with the row-1 rule, reaches
+    search's leaves; learning C_y from (k, k*y), with the row-1 rule, reaches
     no more leaves through no more nodes, below every root."""
     for n, expected in X_EQUALS_Y_COUNTS.items():
         report = enum_reports(n)
@@ -236,6 +236,11 @@ PER_ROOT_COUNTS = {
     6: [
         (0, 0, 5), (973, 11, 2), (470, 9, 3), (712, 14, 7), (500, 5, 2), (242, 1, 1),
         (270, 1, 1), (130, 11, 4), (58, 1, 1), (39, 9, 3), (49, 4, 2),
+    ],
+    7: [
+        (0, 0, 2), (8024, 1, 1), (5577, 1, 1), (6664, 1, 1), (5395, 1, 1), (4890, 1, 1),
+        (3126, 1, 1), (1994, 2, 2), (1907, 1, 1), (1216, 3, 3), (1914, 3, 3), (797, 1, 1),
+        (416, 1, 1), (177, 1, 1), (247, 1, 1),
     ],
 }
 

@@ -278,7 +278,6 @@ def test_partition_basics():
     assert p.blocks == ((0, 2), (1,), (3,))
     assert p.block_of == (0, 1, 0, 2)
     assert p.block_sizes() == (2, 1, 1)
-    assert Partition.singletons(3).blocks == ((0,), (1,), (2,))
     with pytest.raises(ValueError):
         Partition(((0, 1), (1, 2)))
 
