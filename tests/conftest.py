@@ -1,4 +1,5 @@
 import itertools
+import random
 from pathlib import Path
 
 import pytest
@@ -85,6 +86,50 @@ def all_left_quasigroups(n):
     perms = list(itertools.permutations(range(n)))
     for rows in itertools.product(perms, repeat=n):
         yield CayleyTable(rows)
+
+
+def twisted_ward_rows(n):
+    """Twisted Ward left quasigroups of order n: affine x*y = c + a(y - x)
+    mod n for two units a, permutational x*y = y + 1 mod n and, for composite
+    n, the direct product of an affine and a permutational factor."""
+    def affine(m, a):
+        return [[(1 + a * (y - x)) % m for y in range(m)] for x in range(m)]
+
+    def permutational(m):
+        return [[(y + 1) % m for y in range(m)] for _ in range(m)]
+
+    def product(ra, rb):
+        na, nb = len(ra), len(rb)
+        return [
+            [ra[x1][y1] * nb + rb[x2][y2] for y1 in range(na) for y2 in range(nb)]
+            for x1 in range(na)
+            for x2 in range(nb)
+        ]
+
+    found = [affine(n, 1), affine(n, -1), permutational(n)]
+    p = next((d for d in range(2, n) if n % d == 0), None)
+    if p is not None:
+        found.append(product(affine(p, -1), permutational(n // p)))
+    return found
+
+
+def checker_tables(n):
+    """Left quasigroups of order n >= 3 for the identity and braiding checkers:
+    the tables of twisted_ward_rows(n) and x*y = y, which satisfies all seven
+    identities; each of them with two entries of row 1, or of row n - 1,
+    swapped; and three seeded random left quasigroups.  The swaps in x*y = y
+    fail every identity after row 0."""
+    bases = twisted_ward_rows(n) + [[list(range(n)) for _ in range(n)]]
+    tables = []
+    for rows in bases:
+        tables.append(CayleyTable.from_rows(rows))
+        for k, i, j in ((1, 0, 1), (n - 1, n - 2, n - 1)):
+            near = [list(row) for row in rows]
+            near[k][i], near[k][j] = near[k][j], near[k][i]
+            tables.append(CayleyTable.from_rows(near))
+    rng = random.Random(f"checker-tables-{n}")
+    tables += [CayleyTable(tuple(tuple(rng.sample(range(n), n)) for _ in range(n))) for _ in range(3)]
+    return tables
 
 
 def reference_min_conjugates(n):

@@ -17,7 +17,7 @@ from tward import (
 from tward.braidings import BRAID_KINDS, _check_composed_maps, _composed_maps_agree_at, matching_identity
 from tward.errors import ConsistencyError, StructureError
 
-from conftest import all_left_quasigroups
+from conftest import all_left_quasigroups, checker_tables, twisted_ward_rows
 
 
 def small_left_quasigroups(max_n=4, min_n=2):
@@ -304,31 +304,6 @@ def test_braiding_checks_match_reference_on_fixed_pairs():
     assert True in verdicts and False in verdicts
 
 
-def _twisted_ward_rows(n):
-    """Twisted Ward left quasigroups of order n: affine x*y = c + a(y - x)
-    mod n for two units a, permutational x*y = y + 1 mod n and, for composite
-    n, the direct product of an affine and a permutational factor."""
-    def affine(m, a):
-        return [[(1 + a * (y - x)) % m for y in range(m)] for x in range(m)]
-
-    def permutational(m):
-        return [[(y + 1) % m for y in range(m)] for _ in range(m)]
-
-    def product(ra, rb):
-        na, nb = len(ra), len(rb)
-        return [
-            [ra[x1][y1] * nb + rb[x2][y2] for y1 in range(na) for y2 in range(nb)]
-            for x1 in range(na)
-            for x2 in range(nb)
-        ]
-
-    found = [affine(n, 1), affine(n, -1), permutational(n)]
-    p = next((d for d in range(2, n) if n % d == 0), None)
-    if p is not None:
-        found.append(product(affine(p, -1), permutational(n // p)))
-    return found
-
-
 @pytest.mark.parametrize("n", [0, 1, 6, 7, 8, 9, 10, 11, 12])
 def test_composed_maps_match_reference_past_the_drawn_orders(n):
     """At the orders braiding_pairs never draws: the braidings of both
@@ -336,7 +311,7 @@ def test_composed_maps_match_reference_past_the_drawn_orders(n):
     tables with one row rotated into another permutation; and, at n > 0, the
     identity map and the flip, whose circ or bullet rows are constant."""
     tables = []
-    for rows in _twisted_ward_rows(n):
+    for rows in twisted_ward_rows(n):
         t = CayleyTable.from_rows(rows)
         assert check_identity(t, "twisted_ward")
         tables.append(t)
@@ -359,18 +334,48 @@ def test_composed_maps_match_reference_past_the_drawn_orders(n):
     assert set(verdicts) == ({True} if n <= 1 else {True, False})
 
 
-_PROJECTION_9 = CayleyTable(tuple((x,) * 9 for x in range(9)))  # x o y = x satisfies YB1
-_ZERO_ROW_9 = (0,) * 9
+def projection_pairs(n):
+    """(circ, bullet) pairs of order n >= 3 with the projection x o y = x as
+    circ, which satisfies YB1: a bullet that fails YB2 alone, at x = 2, and
+    one that fails YB3 alone, at x = 1."""
+    projection = CayleyTable(tuple((x,) * n for x in range(n)))
+    zero = (0,) * n
+    yb2 = CayleyTable((zero,) * 2 + ((1,) + zero[1:],) + (zero,) * (n - 3))
+    yb3 = CayleyTable((tuple(range(n)),) + (zero,) * (n - 1))
+    return (projection, yb2), (projection, yb3)
 
 
 @given(arbitrary_tables(9), arbitrary_tables(9))
-# with the projection as circ, a bullet that fails YB2 alone and one that fails YB3 alone
-@example(_PROJECTION_9, CayleyTable((_ZERO_ROW_9,) * 2 + ((1,) + (0,) * 8,) + (_ZERO_ROW_9,) * 6))
-@example(_PROJECTION_9, CayleyTable((tuple(range(9)),) + (_ZERO_ROW_9,) * 8))
+@example(*projection_pairs(9)[0])
+@example(*projection_pairs(9)[1])
 @settings(max_examples=60, deadline=None)
 def test_composed_maps_match_reference_on_arbitrary_pairs_of_order_9(circ, bullet):
     b = Braiding(circ=circ, bullet=bullet)
     assert _check_composed_maps(b) == _reference_composed_maps(b)
+
+
+@pytest.mark.parametrize("n", range(7, 13))
+def test_is_braiding_matches_reference_past_the_drawn_orders(n):
+    """The braidings of both builders and all three kinds of checker_tables(n),
+    and the projection pairs: each of YB1, YB2 and YB3 fails after row 0 on
+    some of them, and witnesses are plain ints."""
+    braidings = [build(t, kind) for t in checker_tables(n) for build in (to_braiding, induced_bullet)
+                 for kind in BRAID_KINDS]
+    braidings += [Braiding(circ=circ, bullet=bullet) for circ, bullet in projection_pairs(n)]
+    verdicts, fails_after_row_0 = set(), set()
+    for b in braidings:
+        expected = _reference_component_identities(b)
+        assert is_braiding(b, witness=True) == expected
+        holds = is_braiding(b)
+        assert type(holds) is bool and holds == expected[0]
+        verdicts.add(holds)
+        if not holds:
+            name, point = expected[1]
+            assert all(type(v) is int for v in is_braiding(b, witness=True)[1][1])
+            if point[0] >= 1:
+                fails_after_row_0.add(name)
+    assert verdicts == {True, False}
+    assert fails_after_row_0 == {"YB1", "YB2", "YB3"}
 
 
 def test_is_braiding_scans_the_composed_maps_only_when_the_components_hold(monkeypatch):

@@ -129,6 +129,43 @@ def test_braiding_verify_whole_stdout(capsys, table4_file, cyclic3_file, name, k
     assert (code, out) == (want_code, "\n".join(want_lines) + "\n")
 
 
+def _order9_near_miss(name):
+    """Order-9 twisted Ward tables with two entries of one row k >= 1 swapped:
+    x*y = y with row 8 swapped at 7, 8, and x*y = 1 + x - y mod 9 with row 5
+    swapped at 0, 1.  Both pass row 0 of every check and fail later."""
+    if name == "identity rows":
+        rows, k, i, j = [list(range(9)) for _ in range(9)], 8, 7, 8
+    else:
+        rows, k, i, j = [[(1 + x - y) % 9 for y in range(9)] for x in range(9)], 5, 0, 1
+    rows[k][i], rows[k][j] = rows[k][j], rows[k][i]
+    return CayleyTable.from_rows(rows)
+
+
+# stdout of `check --identity tw` and `braiding --kind idempotent --verify`
+NEAR_MISS_9_STDOUT = {
+    "identity rows": (
+        ["RESULT: fails", "witness triple (x, y, z) = (8, 0, 7)"],
+        ["RESULT: not-a-braiding", "witness YB1 at (x, y, z) = (8, 0, 7)",
+         "derived 0 involutive 0 idempotent 1 left_nondegenerate 1 nondegenerate 0 latin 0"],
+    ),
+    "affine a=-1": (
+        ["RESULT: fails", "witness triple (x, y, z) = (1, 5, 0)"],
+        ["RESULT: not-a-braiding", "witness YB1 at (x, y, z) = (1, 5, 5)",
+         "derived 0 involutive 0 idempotent 1 left_nondegenerate 1 nondegenerate 0 latin 0"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_MISS_9_STDOUT))
+def test_near_miss_of_order_9_fails_after_row_0(capsys, tmp_path, name):
+    path = tmp_path / "nm9.tbl"
+    path.write_text(_order9_near_miss(name).to_text())
+    check_lines, braiding_lines = NEAR_MISS_9_STDOUT[name]
+    assert run(capsys, "check", str(path), "--identity", "tw") == (1, "\n".join(check_lines) + "\n")
+    code, out = run(capsys, "braiding", str(path), "--kind", "idempotent", "--verify")
+    assert (code, out) == (1, "\n".join(braiding_lines) + "\n")
+
+
 def test_kernels(capsys, table4_file):
     code, out = run(capsys, "kernels", table4_file)
     assert code == 0

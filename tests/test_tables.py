@@ -35,7 +35,7 @@ from tward.tables import (
     is_self_canonical,
 )
 
-from conftest import all_left_quasigroups
+from conftest import all_left_quasigroups, checker_tables
 
 
 def random_perm_rows(n):
@@ -262,6 +262,25 @@ def test_identities_match_reference_on_all_order3_left_quasigroups():
 @settings(max_examples=150, deadline=None)
 def test_identities_match_reference_on_drawn_tables(t):
     assert_identities_match_reference(t)
+
+
+@pytest.mark.parametrize("n", range(7, 13))
+def test_identities_match_reference_past_the_drawn_orders(n):
+    """At the orders left_quasigroups never draws, every kind holds on some
+    table and fails on another after row 0; witnesses are plain ints."""
+    holds, fails_after_row_0 = set(), set()
+    for t in checker_tables(n):
+        assert_identities_match_reference(t)
+        for kind in IDENTITY_KINDS:
+            verdict, wit = check_identity(t, kind, witness=True)
+            assert type(verdict) is bool
+            if verdict:
+                holds.add(kind)
+            else:
+                assert all(type(v) is int for v in wit), wit
+                if wit[0] >= 1:
+                    fails_after_row_0.add(kind)
+    assert holds == fails_after_row_0 == set(IDENTITY_KINDS)
 
 
 @given(left_quasigroups(), st.data())
