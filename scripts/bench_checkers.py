@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """Per-call timings of the identity and braiding checkers and the braiding builders.
 
-Times ``check_identity`` for all seven kinds, the two halves of the
-``is_braiding`` dual oracle (``_check_component_identities`` and
-``_check_composed_maps``) and ``is_braiding`` itself on the idempotent
-braiding at n = 4, 5 and 12, each on a table where the check holds (a full
-n^3 scan) and on a seeded random left quasigroup where it fails early
-(``_check_composed_maps`` reads all n^3 points either way; ``is_braiding``
-calls it only on holding braidings).  At the same orders it times ``to_braiding`` and
-``induced_bullet`` for each braiding kind, and the validating
-``CayleyTable`` build of their input.  In the catalog layer it times
+Times ``check_identity`` for all seven kinds and ``is_braiding`` on the
+idempotent braiding at n = 4, 5, 7, 9 and 12, each on a table where the
+check holds (a full n^3 scan), on a seeded random left quasigroup where it
+fails early, in row 0, and on x*y = y with two entries of row n - 1
+swapped, where it fails after row 0, in one of the last two rows.  Only the
+public checkers are timed: the halves of the ``is_braiding`` dual oracle
+change their contracts between checkouts.  At n = 4, 5 and 12 it times
+``to_braiding`` and ``induced_bullet`` for each braiding kind, and the
+validating ``CayleyTable`` build of their input.  In the catalog layer it times
 ``canonical_form`` on the catalog tables of orders 8 and 9,
 ``twq_spec_isomorphic`` over all ordered pairs of catalog specs of order 8,
 ``recover_structure`` on three seeded relabelings of each catalog table of
@@ -56,7 +56,8 @@ from pathlib import Path
 import numpy as np
 
 REPO = Path(__file__).resolve().parent.parent
-ORDERS = (4, 5, 12)
+CHECKER_ORDERS = (4, 5, 7, 9, 12)
+BUILDER_ORDERS = (4, 5, 12)
 CRITERION_06 = "tests/test_acceptance.py::test_criterion_06_correspondences"
 
 
@@ -68,6 +69,14 @@ def affine(n, a, c):
 def permutational(n):
     """x*y = y + 1 mod n: every identity but the Ward law holds."""
     return tuple(tuple((y + 1) % n for y in range(n)) for _ in range(n))
+
+
+def fails_after_row_0(n):
+    """x*y = y with entries n - 2 and n - 1 of row n - 1 swapped: every
+    identity and the idempotent braiding fail in one of the last two rows."""
+    rows = [list(range(n)) for _ in range(n)]
+    rows[n - 1][n - 2], rows[n - 1][n - 1] = n - 1, n - 2
+    return tuple(map(tuple, rows))
 
 
 def random_left_quasigroup(n):
@@ -123,17 +132,17 @@ def triples_to_verdict(n, holds, witness):
 
 def cases(tw):
     """The rows timed for one checkout's package tw, each with its call."""
-    _check_component_identities = tw.braidings._check_component_identities
-    _check_composed_maps = tw.braidings._check_composed_maps
-
     holding = (  # the first of these on which a kind holds is its full-scan table
         ("affine a=1 c=1", lambda n: affine(n, 1, 1)),
         ("affine a=-1 c=1", lambda n: affine(n, -1, 1)),
         ("permutational y+1", permutational),
     )
     rows = []  # each call takes its inputs as defaults: it runs after the loops move on
-    for n in ORDERS:
-        fails = tw.CayleyTable(random_left_quasigroup(n))
+    for n in CHECKER_ORDERS:
+        failing = (
+            ("fails", tw.CayleyTable(random_left_quasigroup(n)), "random"),
+            ("fails late", tw.CayleyTable(fails_after_row_0(n)), "x*y = y, row n-1 swapped"),
+        )
         for kind in tw.tables.IDENTITY_KINDS:
             name, t = next(
                 (name, t)
@@ -141,33 +150,22 @@ def cases(tw):
                 for t in [tw.CayleyTable(build(n))]
                 if tw.check_identity(t, kind)
             )
-            for case, table, label in (("holds", t, name), ("fails", fails, "random")):
+            for case, table, label in (("holds", t, name),) + failing:
                 holds, wit = tw.check_identity(table, kind, witness=True)
                 rows.append(dict(
                     function="check_identity", kind=kind, n=n, case=case, table=label, holds=holds,
                     triples_to_verdict=triples_to_verdict(n, holds, wit),
                     call=lambda table=table, kind=kind: tw.check_identity(table, kind),
                 ))
-        for case, table, label in (("holds", tw.CayleyTable(affine(n, 1, 1)), "affine a=1 c=1"),
-                                   ("fails", fails, "random")):
+        for case, table, label in (("holds", tw.CayleyTable(affine(n, 1, 1)), "affine a=1 c=1"),) + failing:
             b = tw.to_braiding(table, "idempotent")
-            holds, wit = _check_component_identities(b, True)
+            holds, wit = tw.is_braiding(b, witness=True)
             rows.append(dict(
-                function="_check_component_identities", kind="idempotent braiding", n=n, case=case,
-                table=label, holds=holds,
-                triples_to_verdict=triples_to_verdict(n, holds, wit and wit[1]),
-                call=lambda b=b: _check_component_identities(b, False),
-            ))
-            rows.append(dict(
-                function="_check_composed_maps", kind="idempotent braiding", n=n, case=case,
-                table=label, holds=_check_composed_maps(b), triples_to_verdict=None,
-                call=lambda b=b: _check_composed_maps(b),
-            ))
-            rows.append(dict(
-                function="is_braiding", kind="idempotent braiding", n=n, case=case,
-                table=label, holds=tw.is_braiding(b), triples_to_verdict=None,
+                function="is_braiding", kind="idempotent braiding", n=n, case=case, table=label,
+                holds=holds, witness=wit, triples_to_verdict=triples_to_verdict(n, holds, wit and wit[1]),
                 call=lambda b=b: tw.is_braiding(b),
             ))
+    for n in BUILDER_ORDERS:
         label, built = "affine a=1 c=1", affine(n, 1, 1)
         rows.append(dict(
             function="CayleyTable", kind="validating build", n=n, case="fresh table", table=label,

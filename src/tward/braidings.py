@@ -9,7 +9,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ConsistencyError, StructureError
-from .tables import CayleyTable, check_identity
+from .tables import _ARRAY_ORDER, CayleyTable, check_identity
 
 # the identity matching each kind; its division form adds "_div" to the name
 _KIND_IDENTITY = {"derived": "rack", "involutive": "rump", "idempotent": "twisted_ward"}
@@ -48,12 +48,14 @@ class Braiding:
         return cls(circ=circ, bullet=bullet)
 
 
-def _check_component_identities(b: Braiding, witness: bool):
-    """YB1-YB3 over all triples."""
+def _check_component_identities(b: Braiding, xs: range | None = None):
+    """YB1-YB3 over the triples with x in xs, by default every row below order
+    _ARRAY_ORDER and row 0 from it: (True, None), or False and the first
+    failing equation and triple."""
     n = b.n
     o = b.circ.rows
     u = b.bullet.rows
-    for x in range(n):
+    for x in range(n if n < _ARRAY_ORDER else 1) if xs is None else xs:
         ox, ux = o[x], u[x]
         for y in range(n):
             oy, uy = o[y], u[y]
@@ -62,12 +64,12 @@ def _check_component_identities(b: Braiding, witness: bool):
             for z in range(n):
                 oyz = oy[z]
                 if ox[oyz] != oxy[oxby[z]]:
-                    return False, ("YB1", (x, y, z)) if witness else None
+                    return False, ("YB1", (x, y, z))
                 w, uyz = ux[oyz], uy[z]
                 if uxy[oxby[z]] != o[w][uyz]:
-                    return False, ("YB2", (x, y, z)) if witness else None
+                    return False, ("YB2", (x, y, z))
                 if uxby[z] != u[w][uyz]:
-                    return False, ("YB3", (x, y, z)) if witness else None
+                    return False, ("YB3", (x, y, z))
     return True, None
 
 
@@ -82,12 +84,18 @@ def _point_codes(n: int) -> tuple[np.ndarray, ...]:
     return codes
 
 
-def _check_composed_maps(b: Braiding) -> bool:
+def _check_composed_maps(b: Braiding):
     """(r x 1)(1 x r)(r x 1) = (1 x r)(r x 1)(1 x r) on all points at once,
     with r applied as a black box: two flat arrays over pair codes,
     o[a*n + b] = a o b and u[a*n + b] = a . b, gathered at each of the six
-    steps for all n^3 points, then the three coordinates compared."""
+    steps for all n^3 points, then the three coordinates compared.  Returns
+    (True, None), or False and the first failing point in xyz order with the
+    first coordinate that differs there: the three coordinates of the two
+    sides are the two sides of YB1, YB2 and YB3, so this is the components'
+    witness."""
     n = b.n
+    if not n:  # no points
+        return True, None
     o = np.fromiter(chain.from_iterable(b.circ.rows), dtype=np.intp, count=n * n)
     u = np.fromiter(chain.from_iterable(b.bullet.rows), dtype=np.intp, count=n * n)
     xy, yz, xn, z = _point_codes(n)
@@ -101,7 +109,13 @@ def _check_composed_maps(b: Braiding) -> bool:
     t1, t2 = o[xs], u[xs]  # (r x 1): (t1, t2, s2)
     ts = t2 * n + s2
     m1, m2 = o[ts], u[ts]  # (1 x r): (t1, m1, m2)
-    return bool(((l1 == t1) & (l2 == m1) & (q2 == m2)).all())
+    yb1, yb2, yb3 = l1 != t1, l2 != m1, q2 != m2
+    bad = yb1 | yb2 | yb3
+    i = int(bad.argmax())
+    if not bad[i]:
+        return True, None
+    name = "YB1" if yb1[i] else "YB2" if yb2[i] else "YB3"
+    return False, (name, (i // (n * n), i // n % n, i % n))
 
 
 def _composed_maps_agree_at(b: Braiding, point: tuple[int, int, int]) -> bool:
@@ -123,15 +137,25 @@ def is_braiding(b: Braiding, witness: bool = False):
     """True iff b solves the Yang-Baxter equation.
 
     Runs the component identities YB1-YB3 and the composed-map equation; the
-    two verdicts must agree (internal oracle).  A holding verdict is confirmed
-    by the composed maps on all points.  A failing one is confirmed at the
-    components' witness alone, where the composed maps must differ: their
-    three coordinates at a point are the two sides of YB1, YB2 and YB3."""
-    by_identities, wit = _check_component_identities(b, True)
-    by_composition = _check_composed_maps(b) if by_identities else _composed_maps_agree_at(b, wit[1])
-    if by_identities != by_composition:
+    two verdicts must agree (internal oracle).  The components are scanned in
+    Python, over every row below order _ARRAY_ORDER and over row 0 from it.
+    A failure there is confirmed at its witness alone, where the composed maps
+    must differ: their three coordinates at a point are the two sides of YB1,
+    YB2 and YB3.  Otherwise the composed maps are checked on all points in one
+    numpy pass.  Below order _ARRAY_ORDER they must hold; from it they decide
+    the verdict, and a failure they find is confirmed by the components' scan
+    of its row, which must stop at the same witness."""
+    holds, wit = _check_component_identities(b)
+    if not holds:
+        agree = not _composed_maps_agree_at(b, wit[1])
+    elif b.n < _ARRAY_ORDER:
+        agree = _check_composed_maps(b)[0]
+    else:
+        holds, wit = _check_composed_maps(b)
+        agree = holds or _check_component_identities(b, range(wit[1][0], wit[1][0] + 1)) == (False, wit)
+    if not agree:
         raise ConsistencyError("YB1-YB3 verdict disagrees with the composed-map check")
-    return (by_identities, wit) if witness else by_identities
+    return (holds, wit) if witness else holds
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,11 @@ _TRANSLATIONS = {
     "twisted_ward_div": lambda r, ld, x, y: (x, y, r[x][y], ld[r[x][y]][r[x][y]]),
 }
 IDENTITY_KINDS = tuple(_TRANSLATIONS)
+# From this order on, check_identity and braidings.is_braiding scan row x = 0 in Python, where
+# almost every failing table fails, and judge a table that passes it in one numpy pass over all
+# n^3 triples.  The pass costs several microseconds at any n: below order 7 that is more than
+# check_identity's full scan of a holding table.
+_ARRAY_ORDER = 7
 
 
 @lru_cache(maxsize=None)
@@ -239,8 +244,51 @@ def _require_lq(t: CayleyTable) -> None:
         raise StructureError("table is not a left quasigroup")
 
 
+class _ArrayRows:
+    """Reads rows[x][y] as array[x, y], so that the _TRANSLATIONS formulas
+    evaluate on index arrays x and y."""
+
+    __slots__ = ("array", "x")
+
+    def __init__(self, array: np.ndarray, x=None):
+        self.array, self.x = array, x
+
+    def __getitem__(self, i):
+        return _ArrayRows(self.array, i) if self.x is None else self.array[self.x, i]
+
+
+@lru_cache(maxsize=None)
+def _triple_grids(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index arrays x, y and z that broadcast to the n^3 triples (x, y, z) in
+    xyz order, read-only: every caller shares them."""
+    a = np.arange(n, dtype=np.intp)
+    a.flags.writeable = False
+    return a[:, None, None], a[None, :, None], a
+
+
+def _first_failing_triple(rows, ld, translations) -> Optional[tuple[int, int, int]]:
+    """The first triple in xyz order where L_a L_b = L_c L_d fails, or None,
+    with (a, b, c, d) read from translations for all pairs (x, y) at once."""
+    n = len(rows)
+    table = np.array(rows, dtype=np.intp)
+    x, y, z = _triple_grids(n)
+    ld = None if ld is None else _ArrayRows(np.array(ld, dtype=np.intp))
+    a, b, c, d = translations(_ArrayRows(table), ld, x, y)
+    right = table[d, z]
+    if c is not None:
+        right = table[c, right]
+    bad = (table[a, table[b, z]] != right).ravel()  # one side varies with x and y: n^3 entries
+    i = int(bad.argmax())
+    return (i // (n * n), i // n % n, i % n) if bad[i] else None
+
+
 def check_identity(t: CayleyTable, kind: str, witness: bool = False):
-    """Brute-force check of one of the named identities over all n^3 triples.
+    """Check one of the named identities over all n^3 triples (x, y, z).
+
+    Row x = 0 is scanned in Python and stops at its first failing triple.
+    Below order _ARRAY_ORDER the scan goes on through every row; from it, a
+    table that passes row 0 is judged in one numpy pass that finds the first
+    failing triple in xyz order, the one the scan would stop at.
 
     With ``witness=True`` returns (verdict, first failing triple or None).
     """
@@ -253,7 +301,7 @@ def check_identity(t: CayleyTable, kind: str, witness: bool = False):
     n = len(rows)
     ld = t._ldiv_rows if kind.endswith("_div") else None
     identity = range(n)
-    for x in range(n):
+    for x in range(n if n < _ARRAY_ORDER else 1):
         for y in range(n):
             a, b, c, d = translations(rows, ld, x, y)
             if a == c and b == d:  # the same map on both sides
@@ -263,7 +311,8 @@ def check_identity(t: CayleyTable, kind: str, witness: bool = False):
             for z in range(n):
                 if A[B[z]] != C[D[z]]:
                     return (False, (x, y, z)) if witness else False
-    return (True, None) if witness else True
+    wit = None if n < _ARRAY_ORDER else _first_failing_triple(rows, ld, translations)
+    return (wit is None, wit) if witness else wit is None
 
 
 @dataclass(frozen=True)

@@ -113,12 +113,21 @@ def twisted_ward_rows(n):
     return found
 
 
+def fails_after_row_0(n):
+    """x*y = y with entries n - 2 and n - 1 of row n - 1 swapped, for n >= 3:
+    every identity and the idempotent braiding hold on rows 0 to n - 3 and
+    fail in one of the last two rows."""
+    rows = [list(range(n)) for _ in range(n)]
+    rows[n - 1][n - 2], rows[n - 1][n - 1] = n - 1, n - 2
+    return CayleyTable.from_rows(rows)
+
+
 def checker_tables(n):
     """Left quasigroups of order n >= 3 for the identity and braiding checkers:
     the tables of twisted_ward_rows(n) and x*y = y, which satisfies all seven
     identities; each of them with two entries of row 1, or of row n - 1,
-    swapped; and three seeded random left quasigroups.  The swaps in x*y = y
-    fail every identity after row 0."""
+    swapped (for x*y = y the second is fails_after_row_0(n)); and three
+    seeded random left quasigroups."""
     bases = twisted_ward_rows(n) + [[list(range(n)) for _ in range(n)]]
     tables = []
     for rows in bases:

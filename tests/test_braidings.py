@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +18,7 @@ from tward import (
 from tward.braidings import BRAID_KINDS, _check_composed_maps, _composed_maps_agree_at, matching_identity
 from tward.errors import ConsistencyError, StructureError
 
-from conftest import all_left_quasigroups, checker_tables, twisted_ward_rows
+from conftest import all_left_quasigroups, checker_tables, fails_after_row_0, twisted_ward_rows
 
 
 def small_left_quasigroups(max_n=4, min_n=2):
@@ -272,7 +273,7 @@ def braiding_pairs(draw, max_n=5):
 def assert_braiding_matches_reference(b):
     expected = _reference_component_identities(b)
     assert _reference_composed_maps(b) == expected[0]
-    assert _check_composed_maps(b) == expected[0]
+    assert _check_composed_maps(b) == expected
     for t in itertools.product(range(b.n), repeat=3):
         assert _composed_maps_agree_at(b, t) == _reference_composed_at(b, t), t
     assert is_braiding(b, witness=True) == expected
@@ -328,8 +329,9 @@ def test_composed_maps_match_reference_past_the_drawn_orders(n):
         braidings += [identity_map, Braiding(circ=identity_map.bullet, bullet=identity_map.circ)]
     verdicts = []
     for b in braidings:
-        verdicts.append(_check_composed_maps(b))
-        assert verdicts[-1] == _reference_composed_maps(b) == _reference_component_identities(b)[0]
+        assert _check_composed_maps(b) == _reference_component_identities(b)
+        verdicts.append(_check_composed_maps(b)[0])
+        assert verdicts[-1] == _reference_composed_maps(b)
         assert is_braiding(b) == verdicts[-1]
     assert set(verdicts) == ({True} if n <= 1 else {True, False})
 
@@ -351,7 +353,8 @@ def projection_pairs(n):
 @settings(max_examples=60, deadline=None)
 def test_composed_maps_match_reference_on_arbitrary_pairs_of_order_9(circ, bullet):
     b = Braiding(circ=circ, bullet=bullet)
-    assert _check_composed_maps(b) == _reference_composed_maps(b)
+    assert _check_composed_maps(b)[0] == _reference_composed_maps(b)
+    assert _check_composed_maps(b) == _reference_component_identities(b)
 
 
 @pytest.mark.parametrize("n", range(7, 13))
@@ -378,17 +381,25 @@ def test_is_braiding_matches_reference_past_the_drawn_orders(n):
     assert fails_after_row_0 == {"YB1", "YB2", "YB3"}
 
 
+def _row_0_holds(b):
+    """YB1-YB3 hold at every point (0, y, z)."""
+    holds, wit = _reference_component_identities(b)
+    return holds or wit[1][0] > 0
+
+
 def test_is_braiding_scans_the_composed_maps_only_when_the_components_hold(monkeypatch):
-    """A failing verdict is confirmed at its witness alone, a holding one by
-    the full composed scan: the scan raises if it is given a failing braiding."""
+    """Below order 7 a failing verdict is confirmed at its witness alone, a
+    holding one by the full composed scan: the scan raises if it is given a
+    failing braiding.  From order 7 the scan runs exactly on the braidings
+    whose components hold on row 0."""
     from tward import braidings
 
     original = braidings._check_composed_maps
     scanned = []
 
     def scan(b):
-        if not _reference_component_identities(b)[0]:
-            raise AssertionError("full composed-map scan of a failing braiding")
+        if not (_row_0_holds(b) if b.n >= 7 else _reference_component_identities(b)[0]):
+            raise AssertionError("full composed-map scan of a braiding that fails where it was scanned")
         scanned.append(b)
         return original(b)
 
@@ -402,30 +413,80 @@ def test_is_braiding_scans_the_composed_maps_only_when_the_components_hold(monke
                 assert scanned == ([b] if holds else [])
                 verdicts.add(holds)
     assert verdicts == {True, False}
+    scans = set()
+    for t in checker_tables(9):
+        for kind in BRAID_KINDS:
+            for b in (to_braiding(t, kind), induced_bullet(t, kind)):
+                scanned.clear()
+                holds = is_braiding(b)
+                assert scanned == ([b] if _row_0_holds(b) else [])
+                scans.add((holds, bool(scanned)))
+    assert scans == {(True, True), (False, True), (False, False)}
+
+
+def _order_9_tables():
+    """x*y = 1 + x - y mod 9, whose idempotent braiding holds; x*y = y with
+    two entries of row 8 swapped, whose fails after row 0; and a seeded random
+    left quasigroup, whose fails in row 0."""
+    rng = random.Random("order-9-oracles")
+    return (
+        CayleyTable.from_rows([[(1 + x - y) % 9 for y in range(9)] for x in range(9)]),
+        fails_after_row_0(9),
+        CayleyTable(tuple(tuple(rng.sample(range(9), 9)) for _ in range(9))),
+    )
 
 
 @pytest.mark.parametrize("checker", ["_check_component_identities", "_check_composed_maps", "_composed_maps_agree_at"])
 def test_braiding_oracles_disagreeing_raise(monkeypatch, table4, cyclic3, checker):
     """A flipped verdict from either half raises.  The idempotent braiding of
     table4 holds, so it reaches the full composed scan; that of cyclic3 fails,
-    so it reaches the point check at the components' witness instead."""
+    so it reaches the point check at the components' witness instead.  At
+    order 9 the components' half scans row 0 alone, and a failure the
+    composed maps find is confirmed by the components' scan of its row; a
+    flip of the composed maps from failing to holding after row 0 is not
+    caught, since no other check reads those rows."""
     from tward import braidings
 
+    hold9, late9, early9 = _order_9_tables()
     original = getattr(braidings, checker)
-    if checker == "_check_component_identities":
+    if checker == "_composed_maps_agree_at":
 
-        def flipped(b, witness):  # a failing verdict needs a point for the point check
-            holds, _ = original(b, witness)
-            return (False, ("YB1", (0, 0, 0))) if holds else (True, None)
+        def flipped(b, point):
+            return not original(b, point)
 
-        tables = (table4, cyclic3)
+        tables = (cyclic3, early9)
     else:
 
-        def flipped(b, *args):
-            return not original(b, *args)
+        def flipped(b, *args):  # a failing verdict needs a point for the point check
+            holds, _ = original(b, *args)
+            return (False, ("YB1", (0, 0, 0))) if holds else (True, None)
 
-        tables = (table4,) if checker == "_check_composed_maps" else (cyclic3,)
+        if checker == "_check_component_identities":
+            tables = (table4, cyclic3, hold9, late9, early9)
+        else:
+            tables = (table4, hold9)
     monkeypatch.setattr(braidings, checker, flipped)
     for t in tables:
         with pytest.raises(ConsistencyError):
             is_braiding(to_braiding(t, "idempotent"))
+
+
+@pytest.mark.parametrize("shift", [(0, 0, 1), (0, 1, 0), (1, 0, 0)])
+def test_composed_witness_confirmed_by_its_row(monkeypatch, shift):
+    """From order 7 a composed-map witness that is not where the components'
+    scan of its row stops raises, whether it moves within the row or to
+    another row."""
+    from tward import braidings
+
+    late9 = _order_9_tables()[1]
+    b = to_braiding(late9, "idempotent")
+    assert is_braiding(b, witness=True) == (False, ("YB1", (8, 0, 7)))
+    original = braidings._check_composed_maps
+
+    def moved(b):
+        holds, (name, point) = original(b)
+        return holds, (name, tuple((v - s) % 9 for v, s in zip(point, shift)))
+
+    monkeypatch.setattr(braidings, "_check_composed_maps", moved)
+    with pytest.raises(ConsistencyError):
+        is_braiding(b)

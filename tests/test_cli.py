@@ -15,7 +15,7 @@ from tward.cli import IDENTITY_NAMES, main
 from tward.groups import MAX_GROUP_ORDER
 from tward.tables import IDENTITY_KINDS
 
-from conftest import CYCLIC3, CYCLIC3_IDENTITY_2, TABLE4, search_finds_table4
+from conftest import CYCLIC3, CYCLIC3_IDENTITY_2, TABLE4, fails_after_row_0, search_finds_table4
 
 
 @pytest.fixture
@@ -131,13 +131,13 @@ def test_braiding_verify_whole_stdout(capsys, table4_file, cyclic3_file, name, k
 
 def _order9_near_miss(name):
     """Order-9 twisted Ward tables with two entries of one row k >= 1 swapped:
-    x*y = y with row 8 swapped at 7, 8, and x*y = 1 + x - y mod 9 with row 5
-    swapped at 0, 1.  Both pass row 0 of every check and fail later."""
+    x*y = y with row 8 swapped at 7, 8 (fails_after_row_0(9)), and
+    x*y = 1 + x - y mod 9 with row 5 swapped at 0, 1.  Both pass row 0 of the
+    twisted Ward check and of the idempotent braiding check, and fail later."""
     if name == "identity rows":
-        rows, k, i, j = [list(range(9)) for _ in range(9)], 8, 7, 8
-    else:
-        rows, k, i, j = [[(1 + x - y) % 9 for y in range(9)] for x in range(9)], 5, 0, 1
-    rows[k][i], rows[k][j] = rows[k][j], rows[k][i]
+        return fails_after_row_0(9)
+    rows = [[(1 + x - y) % 9 for y in range(9)] for x in range(9)]
+    rows[5][0], rows[5][1] = rows[5][1], rows[5][0]
     return CayleyTable.from_rows(rows)
 
 
