@@ -48,14 +48,13 @@ class Braiding:
         return cls(circ=circ, bullet=bullet)
 
 
-def _check_component_identities(b: Braiding, xs: range | None = None):
-    """YB1-YB3 over the triples with x in xs, by default every row below order
-    _ARRAY_ORDER and row 0 from it: (True, None), or False and the first
-    failing equation and triple."""
-    n = b.n
+def _check_component_identities(b: Braiding, xs: range):
+    """YB1-YB3 over the triples with x in xs: (True, None), or False and the
+    first failing equation and triple."""
     o = b.circ.rows
     u = b.bullet.rows
-    for x in range(n if n < _ARRAY_ORDER else 1) if xs is None else xs:
+    n = len(o)
+    for x in xs:
         ox, ux = o[x], u[x]
         for y in range(n):
             oy, uy = o[y], u[y]
@@ -141,15 +140,16 @@ def is_braiding(b: Braiding, witness: bool = False):
     Python, over every row below order _ARRAY_ORDER and over row 0 from it.
     A failure there is confirmed at its witness alone, where the composed maps
     must differ: their three coordinates at a point are the two sides of YB1,
-    YB2 and YB3.  Otherwise the composed maps are checked on all points in one
-    numpy pass.  Below order _ARRAY_ORDER they must hold; from it they decide
-    the verdict, and a failure they find is confirmed by the components' scan
-    of its row, which must stop at the same witness."""
-    holds, wit = _check_component_identities(b)
+    YB2 and YB3.  Otherwise the composed maps, checked on all points in one
+    numpy pass, decide, and a failure they find is confirmed by the
+    components' scan of its row, which must stop at the same witness (below
+    order _ARRAY_ORDER that row has passed, so this raises).  From order
+    _ARRAY_ORDER, past row 0, a holding verdict rests on the composed maps
+    alone."""
+    n = b.n
+    holds, wit = _check_component_identities(b, range(n if n < _ARRAY_ORDER else 1))
     if not holds:
         agree = not _composed_maps_agree_at(b, wit[1])
-    elif b.n < _ARRAY_ORDER:
-        agree = _check_composed_maps(b)[0]
     else:
         holds, wit = _check_composed_maps(b)
         agree = holds or _check_component_identities(b, range(wit[1][0], wit[1][0] + 1)) == (False, wit)

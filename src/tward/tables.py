@@ -31,9 +31,10 @@ _TRANSLATIONS = {
     "twisted_ward_div": lambda r, ld, x, y: (x, y, r[x][y], ld[r[x][y]][r[x][y]]),
 }
 IDENTITY_KINDS = tuple(_TRANSLATIONS)
-# From this order on, check_identity and braidings.is_braiding scan row x = 0 in Python, where
-# almost every failing table fails, and judge a table that passes it in one numpy pass over all
-# n^3 triples.  The pass costs several microseconds at any n: below order 7 that is more than
+# Below this order check_identity and braidings.is_braiding scan every row in Python; from it,
+# row x = 0 only, where almost every failing table fails, and a table that passes it is judged
+# in one numpy pass over all n^3 triples (is_braiding runs that pass at every order once its
+# scan holds).  The pass costs several microseconds at any n: below order 7 that is more than
 # check_identity's full scan of a holding table.
 _ARRAY_ORDER = 7
 
@@ -176,17 +177,12 @@ class CayleyTable:
 
     def relabel(self, pi: Sequence[int]) -> "CayleyTable":
         """Simultaneous relabeling: new[pi(x)][pi(y)] = pi(old[x][y])."""
-        n = self.n
         pi = tuple(map(_index, pi))
-        if sorted(pi) != list(range(n)):
+        if sorted(pi) != list(range(self.n)):
             raise ValueError("relabeling is not a permutation of the carrier")
-        new = [[0] * n for _ in range(n)]
-        for x in range(n):
-            px = pi[x]
-            row = self.rows[x]
-            for y in range(n):
-                new[px][pi[y]] = pi[row[y]]
-        return CayleyTable.from_rows(new)
+        inv = sorted(range(self.n), key=pi.__getitem__)  # pi^-1: new[i][j] = pi(old[inv i][inv j])
+        rows = [self.rows[x] for x in inv]
+        return CayleyTable._derived(tuple(tuple([pi[row[y]] for y in inv]) for row in rows))
 
     def to_text(self, comments: Sequence[str] = ()) -> str:
         lines = [f"# {c}" for c in comments]

@@ -110,6 +110,10 @@ def test_braiding_requires_left_quasigroup():
         induced_bullet(t, "derived")
     with pytest.raises(ValueError):
         to_braiding(CayleyTable.from_rows([[0, 1], [1, 0]]), "nope")
+    with pytest.raises(ValueError, match="unknown braiding kind"):
+        induced_bullet(CayleyTable.from_rows([[0, 1], [1, 0]]), "nope")
+    with pytest.raises(StructureError, match="left nondegenerate"):
+        from_braiding(Braiding(circ=t, bullet=t))
 
 
 def test_matching_identity_names():

@@ -197,6 +197,28 @@ def test_construct_perm_order_zero(capsys):
     assert code == 2 and out.startswith("RESULT: error")
 
 
+@pytest.mark.parametrize("argv", [["check", "--identity", "tw"], ["kernels"]], ids=["check", "kernels"])
+def test_table_that_is_not_a_left_quasigroup(capsys, tmp_path, argv):
+    path = tmp_path / "not-lq.tbl"
+    path.write_text(CayleyTable.from_rows([[0, 1, 2], [1, 2, 0], [0, 0, 1]]).to_text())
+    code, out = run(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out) == (2, "RESULT: error (table is not a left quasigroup)\n")
+
+
+@pytest.mark.parametrize(
+    "phi, psi, message",
+    [
+        ("0 3 2 4", "0 1 2 3", "phi image sequence out of range"),
+        ("0 3 2 1", "0 2 1 3", "psi is not an automorphism"),  # a permutation of C4 only
+    ],
+)
+def test_construct_affine_bad_maps(capsys, tmp_path, phi, psi, message):
+    path = tmp_path / "c4.tbl"
+    path.write_text(CayleyTable.from_rows([[(x + y) % 4 for y in range(4)] for x in range(4)]).to_text())
+    code, out = run(capsys, "construct", "affine", str(path), "--phi", phi, "--psi", psi)
+    assert (code, out) == (2, f"RESULT: error ({message})\n")
+
+
 def test_construct_bad_psi(capsys, cyclic3_file):
     code, out = run(capsys, "construct", "twq", cyclic3_file, "--psi", "1 0 2")
     assert code == 2

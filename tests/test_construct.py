@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from tward import (
     BlockFamily,
     CayleyTable,
+    Partition,
     TwqSpec,
     as_group,
     build_affine,
@@ -147,6 +148,28 @@ def test_build_affine_rejects_bad_input():
         build_affine(s3, identity_perm(6), identity_perm(6), 0)
 
 
+@pytest.mark.parametrize(
+    "phi, psi, message",
+    [
+        ((0, 3, 2, 4), (0, 1, 2, 3), "phi image sequence out of range"),
+        ((0, 3, 2), (0, 1, 2, 3), "phi image sequence out of range"),
+        ((0, 3, 2, 1), (0, 2, 1, 3), "psi is not an automorphism"),  # a permutation of C4 only
+    ],
+)
+def test_build_affine_rejects_bad_maps(phi, psi, message):
+    with pytest.raises(ValueError, match=message):
+        build_affine(_cyclic_group(4), phi, psi, 0)
+
+
+def test_build_affine_refuses_a_tag_the_identity_check_contradicts(monkeypatch):
+    """phi = -psi is tagged twisted Ward; an identity check that says
+    otherwise raises."""
+    g = _cyclic_group(4)
+    monkeypatch.setattr(construct, "check_identity", lambda t, kind: False)
+    with pytest.raises(ConsistencyError, match="affine tagging"):
+        build_affine(g, (0, 3, 2, 1), (0, 1, 2, 3), 1)
+
+
 @pytest.mark.parametrize("c", [4, -1])
 def test_build_affine_rejects_constant_out_of_range(c):
     with pytest.raises(ValueError, match="constant c out of range"):
@@ -188,9 +211,28 @@ def test_block_family_rejects_empty_sizes(x_size, a_size, maps):
         BlockFamily(x_size=x_size, a_size=a_size, maps=maps)
 
 
+@pytest.mark.parametrize(
+    "maps, message",
+    [
+        (((0, 1),), "one bijection per element"),
+        (((0, 1), (0, 0)), "must be a bijection"),
+        (((0, 1), (0, 1, 2)), "must be a bijection"),
+    ],
+)
+def test_block_family_rejects_bad_maps(maps, message):
+    with pytest.raises(ValueError, match=message):
+        BlockFamily(x_size=2, a_size=1, maps=maps)
+
+
 def test_decompose_needs_identity(cyclic3):
     with pytest.raises(IdentityViolationError):
         decompose_block(cyclic3)
+
+
+def test_decompose_refuses_kernel_blocks_of_two_sizes(table4, monkeypatch):
+    monkeypatch.setattr(construct, "cayley_kernel", lambda t: Partition(((0, 1, 2), (3,))))
+    with pytest.raises(ConsistencyError, match="must be uniform"):
+        decompose_block(table4)
 
 
 def test_recover_structure(cyclic3):

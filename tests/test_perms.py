@@ -14,7 +14,7 @@ from tward import (
 )
 from conftest import reference_min_conjugates
 from tward import search
-from tward.errors import ClosureOverflowError, IdentityViolationError
+from tward.errors import ClosureOverflowError, IdentityViolationError, StructureError
 from tward.groups import partition_number
 from tward.perms import (
     compose,
@@ -105,6 +105,13 @@ def test_multiplication_groups(table4, cyclic3):
     assert mg3.lmlt.order == 3
     assert is_regular(mg3.dis_plus)
     assert is_group_isotope(cyclic3)
+
+
+def test_multiplication_groups_need_their_structure(table4):
+    with pytest.raises(StructureError, match="require a left quasigroup"):
+        multiplication_groups(CayleyTable.from_rows([[0, 1], [0, 0]]))
+    with pytest.raises(StructureError, match="requires a quasigroup"):
+        is_group_isotope(table4)  # a left quasigroup, not a quasigroup
 
 
 def test_dis_element_form(cyclic3):

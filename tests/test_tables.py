@@ -301,6 +301,41 @@ def test_partition_basics():
         Partition(((0, 1), (1, 2)))
 
 
+@pytest.mark.parametrize(
+    "blocks, message",
+    [(((0, 1), ()), "empty block"), (((0, 2),), "do not cover"), (((1,), (2,)), "do not cover")],
+)
+def test_partition_rejects_bad_blocks(blocks, message):
+    with pytest.raises(ValueError, match=message):
+        Partition(blocks)
+
+
+# a table whose row 2 is not a permutation, so no left quasigroup
+NOT_LQ = CayleyTable.from_rows([[0, 1, 2], [1, 2, 0], [0, 0, 1]])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda t: check_identity(t, "twisted_ward"),
+        cayley_kernel,
+        squaring_map,
+        squaring_kernel,
+        lambda t: is_congruence(t, Partition(((0, 1, 2),))),
+        kernel_size_report,
+    ],
+    ids=["check_identity", "cayley_kernel", "squaring_map", "squaring_kernel", "is_congruence", "kernel_size_report"],
+)
+def test_left_quasigroup_checks_refuse_other_tables(call):
+    with pytest.raises(StructureError, match="not a left quasigroup"):
+        call(NOT_LQ)
+
+
+def test_congruence_needs_a_partition_of_the_carrier(table4):
+    with pytest.raises(ValueError, match="partition size"):
+        is_congruence(table4, Partition(((0, 1, 2),)))
+
+
 def test_kernels(table4, table6):
     assert cayley_kernel(table4).blocks == ((0, 1), (2, 3))
     assert squaring_kernel(table4).blocks == ((0, 3), (1, 2))
@@ -344,6 +379,8 @@ def test_quadrangle_criterion(cyclic3):
         ]
     )
     assert not quadrangle_criterion(q5)
+    with pytest.raises(StructureError, match="requires a quasigroup"):
+        quadrangle_criterion(CayleyTable.from_rows([[0, 1], [0, 1]]))  # a left quasigroup only
 
 
 def test_canonical_form_properties(table4, table6):
@@ -368,6 +405,40 @@ def test_relabel_round_trip(table4):
     pi = [2, 0, 3, 1]
     inv = [pi.index(i) for i in range(4)]
     assert table4.relabel(pi).relabel(inv) == table4
+
+
+def test_relabel_matches_its_definition():
+    """new[pi(x)][pi(y)] = pi(old[x][y]) on seeded tables of order 1..9, left
+    quasigroups or not; the relabeled table keeps its left-quasigroup flag."""
+    rng = random.Random("relabel")
+    for i in range(90):
+        n = 1 + i % 9
+        if i % 2:
+            rows = [rng.sample(range(n), n) for _ in range(n)]
+        else:
+            rows = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+        t = CayleyTable.from_rows(rows)
+        pi = rng.sample(range(n), n)
+        new = [[0] * n for _ in range(n)]
+        for x in range(n):
+            for y in range(n):
+                new[pi[x]][pi[y]] = pi[rows[x][y]]
+        s = t.relabel(pi)
+        assert s == CayleyTable.from_rows(new)
+        assert s.is_left_quasigroup == t.is_left_quasigroup
+
+
+@pytest.mark.parametrize("pi", [[0, 0, 1, 2], [0, 1, 2], [0, 1, 2, 3, 4], [1, 2, 3, 4], [-1, 0, 1, 2]])
+def test_relabel_rejects_a_non_permutation(table4, pi):
+    with pytest.raises(ValueError, match="not a permutation of the carrier"):
+        table4.relabel(pi)
+
+
+@pytest.mark.parametrize("x, y", [(3, 0), (0, 3), (-1, 0)])
+def test_elements_out_of_range_rejected(cyclic3, x, y):
+    for method in (cyclic3.op, cyclic3.ldiv, cyclic3.rdiv):
+        with pytest.raises(ValueError, match="out of range 0..2"):
+            method(x, y)
 
 
 def test_isomorphism_search(table4, cyclic3):
