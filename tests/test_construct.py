@@ -332,6 +332,25 @@ def test_spec_isomorphism_matches_reference_on_recovered_groups(n):
         assert [twq_spec_isomorphic(r, s) for s in specs] == [j == i for j in range(len(specs))]
 
 
+def test_spec_isomorphism_searches_past_equal_cycle_types():
+    """Over the catalog pairs for n <= 9, some distinct specs over one group
+    have psi of the same cycle type, so a verdict there takes the search over
+    Aut(G1), not the cycle-type comparison alone."""
+    from tward.perms import cycle_type
+
+    pairs = [
+        (a, b)
+        for specs in map(twq_catalog_specs, range(1, 10))
+        for a in specs
+        for b in specs
+        if a is not b and cycle_type(a.psi) == cycle_type(b.psi)
+    ]
+    assert any(a.group is b.group for a, b in pairs)
+    for a, b in pairs:
+        assert not twq_spec_isomorphic(a, b)
+        assert not _reference_spec_isomorphic(a, b)
+
+
 @pytest.mark.parametrize("n", [4, 8])
 def test_spec_isomorphism_over_non_isomorphic_groups(n):
     specs = twq_catalog_specs(n)

@@ -506,6 +506,33 @@ def test_exhaustive_iso_agrees_with_canonical_form():
             assert table_isomorphic(t1, t2) == (canonical_form(t1) == canonical_form(t2))
 
 
+def test_iso_agrees_with_canonical_form_on_catalog_tables_of_order_8():
+    """All ordered pairs of order-8 catalog tables: the search finds an
+    isomorphism exactly when the canonical forms agree, and some pairs that
+    it must search (equal multisets of row profiles) are not isomorphic."""
+    tables = [build_twq(s) for s in twq_catalog_specs(8)]
+    canon = [canonical_form(t) for t in tables]
+    same_profiles = []
+    for t1, c1 in zip(tables, canon):
+        for t2, c2 in zip(tables, canon):
+            assert table_isomorphic(t1, t2) == (c1 == c2)
+            if sorted(t1._row_profiles) == sorted(t2._row_profiles) and c1 != c2:
+                same_profiles.append((t1, t2))
+    assert same_profiles
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_relabeled_catalog_tables_are_isomorphic(n):
+    rng = random.Random(f"relabel-{n}")
+    for s in twq_catalog_specs(n):
+        t = build_twq(s)
+        pi = list(range(n))
+        rng.shuffle(pi)
+        u = t.relabel(pi)
+        assert table_isomorphic(t, u)
+        assert t.relabel(find_isomorphism(t, u)) == u
+
+
 def brute_canonical_form(t):
     """Plain oracle: the least relabeled table over all n! permutations."""
     return CayleyTable(min(t.relabel(pi).rows for pi in itertools.permutations(range(t.n))))
