@@ -11,15 +11,16 @@ change their contracts between checkouts.  At n = 4, 5 and 12 it times
 ``to_braiding`` and ``induced_bullet`` for each braiding kind, and the
 validating ``CayleyTable`` build of their input.  In the catalog layer it times
 ``canonical_form`` on the catalog tables of orders 8 and 9,
-``twq_spec_isomorphic`` over all ordered pairs of catalog specs of order 8,
-``recover_structure`` on three seeded relabelings of each catalog table of
-order n <= 9 (189 tables),
-``table_isomorphic`` over all ordered pairs of catalog tables of order 8,
-``find_all_isomorphisms``, ``automorphism_group`` and ``conjugacy_classes``
-of the result on C2^4 (the xor table of order 16, 20,160 automorphisms) and
-``_perm_arrays(9)`` with its cache cleared; a row that makes several calls
-gives the seconds per call.  It also times criterion
-06 of the acceptance suite.
+``twq_spec_isomorphic`` and ``table_isomorphic`` over all ordered pairs of
+catalog specs and of their tables of orders 8 and 9, with the number of
+pairs whose psi differ in cycle type and of pairs whose tables differ in
+their multisets of row profiles (the pairs each check rejects before any
+search), ``recover_structure`` on three seeded relabelings of each catalog
+table of order n <= 9 (189 tables), ``find_all_isomorphisms``,
+``automorphism_group`` and ``conjugacy_classes`` of the result on C2^4 (the
+xor table of order 16, 20,160 automorphisms) and ``_perm_arrays(9)`` with
+its cache cleared; a row that makes several calls gives the seconds per
+call.  It also times criterion 06 of the acceptance suite.
 
 Two checkouts are timed side by side in one process, each imported under
 its own package name, and the numbers go to BENCH_checkers.json at the repo
@@ -222,16 +223,31 @@ def catalog_cases(tw):
             output=digest([tw.canonical_form(t).rows for t in tables]),
             call=lambda tables=tables: [tw.canonical_form(t) for t in tables],
         ))
-    specs = tw.twq_catalog_specs(8)
+    for n in (8, 9):
+        specs = tw.twq_catalog_specs(n)
+        cycle_types = [tw.tables.cycle_type(s.psi) for s in specs]
 
-    def matrix():
-        return [[tw.twq_spec_isomorphic(a, b) for b in specs] for a in specs]
+        def matrix(specs=specs):
+            return [[tw.twq_spec_isomorphic(a, b) for b in specs] for a in specs]
 
-    rows.append(dict(
-        function="twq_spec_isomorphic", kind="catalog pairs", n=8, case=f"{len(specs) ** 2} pairs",
-        table="catalog specs", holds=None, triples_to_verdict=None, calls=len(specs) ** 2,
-        output=digest(matrix()), call=matrix,
-    ))
+        rows.append(dict(
+            function="twq_spec_isomorphic", kind="catalog pairs", n=n, case=f"{len(specs) ** 2} pairs",
+            table="catalog specs", holds=None, triples_to_verdict=None, calls=len(specs) ** 2,
+            pairs_rejected_by_cycle_type=sum(a != b for a in cycle_types for b in cycle_types),
+            output=digest(matrix()), call=matrix,
+        ))
+        tables = [tw.build_twq(s) for s in specs]
+        profiles = [sorted(t._row_profiles) for t in tables]
+
+        def table_matrix(tables=tables):
+            return [[tw.table_isomorphic(a, b) for b in tables] for a in tables]
+
+        rows.append(dict(
+            function="table_isomorphic", kind="catalog pairs", n=n, case=f"{len(tables) ** 2} pairs",
+            table="build_twq", holds=None, triples_to_verdict=None, calls=len(tables) ** 2,
+            pairs_rejected_by_row_profiles=sum(a != b for a in profiles for b in profiles),
+            output=digest(table_matrix()), call=table_matrix,
+        ))
     relabeled = relabeled_catalog_tables(tw)
 
     def recovered():
@@ -241,16 +257,6 @@ def catalog_cases(tw):
         function="recover_structure", kind="relabeled catalog", n=9, case=f"{len(relabeled)} tables",
         table="build_twq relabeled", holds=None, triples_to_verdict=None, calls=len(relabeled),
         output=digest(recovered()), call=recovered,
-    ))
-    tables = [tw.build_twq(s) for s in specs]
-
-    def table_matrix():
-        return [[tw.table_isomorphic(a, b) for b in tables] for a in tables]
-
-    rows.append(dict(
-        function="table_isomorphic", kind="catalog pairs", n=8, case=f"{len(tables) ** 2} pairs",
-        table="build_twq", holds=None, triples_to_verdict=None, calls=len(tables) ** 2,
-        output=digest(table_matrix()), call=table_matrix,
     ))
     xor = tw.CayleyTable(tuple(tuple(x ^ y for y in range(16)) for x in range(16)))
 

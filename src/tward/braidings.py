@@ -202,10 +202,10 @@ def _with_bullet(circ: CayleyTable, ld, kind: str) -> Braiding:
         bullet = _projection_rows(n)
     elif kind == "involutive":
         # row x reads column x of ld at the entries of row x of circ
-        bullet = tuple(tuple(map(col.__getitem__, row)) for col, row in zip(zip(*ld), rows))
+        bullet = tuple([tuple([ld[v][x] for v in row]) for x, row in enumerate(rows)])
     else:
-        square = tuple(ld[c][c] for c in range(n))
-        bullet = tuple(tuple(map(square.__getitem__, row)) for row in rows)
+        square = [ld[c][c] for c in range(n)]
+        bullet = tuple([tuple([square[v] for v in row]) for row in rows])
     return Braiding(circ=circ, bullet=CayleyTable._derived(bullet))
 
 

@@ -20,6 +20,7 @@ from .tables import (
     CayleyTable,
     cayley_kernel,
     check_identity,
+    cycle_type,
     find_isomorphism,
 )
 
@@ -250,16 +251,19 @@ def twq_spec_isomorphic(s1: TwqSpec, s2: TwqSpec) -> bool:
     """True iff some group isomorphism transports psi1 to psi2; the constants
     are immaterial (x -> cx is always an isomorphism onto the c-twist).
 
-    Every isomorphism G1 -> G2 is theta0 o alpha with theta0 one of them and
-    alpha in Aut(G1), so one isomorphism search and the cached Aut(G1) give
-    them all.
+    A theta with theta psi1 theta^-1 = psi2 makes psi1 and psi2 conjugate
+    permutations, so their cycle types agree (and with them the orders);
+    psi1 and psi2 of different cycle types are decided without a search.
+    Otherwise every isomorphism G1 -> G2 is theta0 o alpha with theta0 one of
+    them and alpha in Aut(G1), and theta0 alpha psi1 = psi2 theta0 alpha
+    reads alpha psi1 = target alpha with target = theta0^-1 psi2 theta0, so
+    one isomorphism search and the cached Aut(G1) decide.
     """
+    psi1, psi2 = s1.psi, s2.psi
+    if cycle_type(psi1) != cycle_type(psi2):
+        return False
     theta0 = find_isomorphism(s1.group.table, s2.group.table)
     if theta0 is None:
         return False
-    psi1, psi2 = s1.psi, s2.psi
-    for alpha in s1.group.automorphisms.elements:
-        theta = compose(theta0, alpha)
-        if compose(theta, psi1) == compose(psi2, theta):
-            return True
-    return False
+    target = compose(inverse(theta0), compose(psi2, theta0))
+    return any(compose(alpha, psi1) == compose(target, alpha) for alpha in s1.group.automorphisms.elements)

@@ -27,8 +27,8 @@ _TRANSLATIONS = {
     "twisted_ward": lambda r, ld, x, y: (r[x][y], x, r[y][y], y),
     "ward": lambda r, ld, x, y: (r[x][y], x, None, y),
     "rack_div": lambda r, ld, x, y: (x, y, r[x][y], x),
-    "rump_div": lambda r, ld, x, y: (x, y, r[x][y], ld[r[x][y]][x]),
-    "twisted_ward_div": lambda r, ld, x, y: (x, y, r[x][y], ld[r[x][y]][r[x][y]]),
+    "rump_div": lambda r, ld, x, y: (x, y, (c := r[x][y]), ld[c][x]),
+    "twisted_ward_div": lambda r, ld, x, y: (x, y, (c := r[x][y]), ld[c][c]),
 }
 IDENTITY_KINDS = tuple(_TRANSLATIONS)
 # Below this order check_identity and braidings.is_braiding scan every row in Python; from it,
@@ -548,14 +548,17 @@ def find_all_isomorphisms(t1: CayleyTable, t2: CayleyTable):
     pair queues the products it forces; a conflict drops the node.  The
     candidate images of x are the elements whose rows have the same invariants
     under relabeling (CayleyTable._row_profiles).
+
+    An isomorphism pi maps row x onto row pi(x) relabeled, so p2[pi(x)] =
+    p1[x] for every x: the two tables' profiles are the same multiset.
+    Tables whose multisets differ (orders included) are decided without a
+    search, and otherwise every x has a candidate.
     """
-    n = t1.n
-    if n != t2.n:
-        return
     p1, p2 = t1._row_profiles, t2._row_profiles
-    cands = [[y for y in range(n) if p2[y] == p1[x]] for x in range(n)]
-    if any(not c for c in cands):
+    if sorted(p1) != sorted(p2):
         return
+    n = t1.n
+    cands = [[y for y in range(n) if p2[y] == p1[x]] for x in range(n)]
     r1, r2 = t1.rows, t2.rows
     stack: list[tuple[list[Optional[int]], list[tuple[int, int]]]] = [([None] * n, [])]
     while stack:
