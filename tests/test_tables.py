@@ -353,6 +353,93 @@ def test_congruence_verdicts(table4, table6):
     assert not is_congruence(table6, cayley_kernel(table6))
 
 
+def _reference_is_congruence(t, p):
+    """Two passes over all related pairs: the blocks are compatible with *
+    and with left division."""
+    bo = p.block_of
+    n = t.n
+    related = [(x, x2) for x in range(n) for x2 in range(n) if bo[x] == bo[x2]]
+    return all(
+        bo[op(x, y)] == bo[op(x2, y2)]
+        for op in (t.op, t.ldiv)
+        for x, x2 in related
+        for y, y2 in related
+    )
+
+
+def _set_partitions(n):
+    """Every partition of {0..n-1}, as block labels in restricted growth form."""
+    labels = [[]]
+    for _ in range(n):
+        labels = [lab + [b] for lab in labels for b in range(max(lab, default=-1) + 2)]
+    return [Partition.from_assignment(lab) for lab in labels]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_congruence_matches_two_pass_reference_on_every_partition(n):
+    partitions = _set_partitions(n)
+    for t in all_left_quasigroups(n):
+        for p in partitions:
+            assert is_congruence(t, p) == _reference_is_congruence(t, p), (t.rows, p.blocks)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_congruence_matches_two_pass_reference_on_seeded_tables(n):
+    rng = random.Random(f"congruence-{n}")
+    for _ in range(25):
+        t = CayleyTable(tuple(tuple(rng.sample(range(n), n)) for _ in range(n)))
+        for k in range(1, n + 1):
+            p = Partition.from_assignment([rng.randrange(k) for _ in range(n)])
+            assert is_congruence(t, p) == _reference_is_congruence(t, p), (t.rows, p.blocks)
+
+
+def test_congruence_matches_two_pass_reference_on_kernels(enum_reports):
+    verdicts = []
+    for n in range(1, 7):
+        for t in enum_reports(n).representatives:
+            for p in (cayley_kernel(t), squaring_kernel(t)):
+                verdicts.append(is_congruence(t, p))
+                assert verdicts[-1] == _reference_is_congruence(t, p), (t.rows, p.blocks)
+    assert True in verdicts and False in verdicts
+
+
+def _reference_row_profiles(t):
+    """Per row, from the row alone: whether it is a permutation, its cycle
+    lengths or else its value multiplicities (both sorted), and whether x*x = x."""
+    n = t.n
+    out = []
+    for x, row in enumerate(t.rows):
+        perm = sorted(row) == list(range(n))
+        if perm:
+            lengths, seen = [], set()
+            for s in range(n):
+                length, j = 0, s
+                while j not in seen:
+                    seen.add(j)
+                    j = row[j]
+                    length += 1
+                if length:
+                    lengths.append(length)
+            shape = tuple(sorted(lengths, reverse=True))
+        else:
+            shape = tuple(sorted(row.count(v) for v in set(row)))
+        out.append((perm, shape, row[x] == x))
+    return tuple(out)
+
+
+def test_row_profiles_match_reference():
+    tables = [build_twq(s) for n in range(1, 9) for s in twq_catalog_specs(n)]
+    rng = random.Random("row-profiles")
+    for n in range(2, 8):
+        for _ in range(10):
+            rows = [rng.sample(range(n), n) for _ in range(n)]
+            rows[rng.randrange(n)] = [rng.randrange(n - 1) for _ in range(n)]  # not a permutation
+            tables.append(CayleyTable.from_rows(rows))
+    assert any(t.is_left_quasigroup for t in tables) and not all(t.is_left_quasigroup for t in tables)
+    for t in tables:
+        assert t._row_profiles == _reference_row_profiles(t), t.rows
+
+
 def test_kernel_size_report(table4, table6, cyclic3):
     r4 = kernel_size_report(table4)
     assert r4.block_sizes_sim == (2, 2)
