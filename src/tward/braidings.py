@@ -8,7 +8,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import ConsistencyError, StructureError
+from .errors import ConsistencyError
 from .tables import _ARRAY_ORDER, CayleyTable, check_identity
 
 # the identity matching each kind; its division form adds "_div" to the name
@@ -217,15 +217,11 @@ def to_braiding(t: CayleyTable, kind: str) -> Braiding:
     identity (rack / rump / twisted Ward)."""
     if kind not in BRAID_KINDS:
         raise ValueError(f"unknown braiding kind {kind!r}")
-    if not t.is_left_quasigroup:
-        raise StructureError("braiding construction requires a left quasigroup")
     return _with_bullet(CayleyTable._derived(t._ldiv_rows), t.rows, kind)
 
 
 def from_braiding(b: Braiding) -> CayleyTable:
-    """Recover the left quasigroup x*y = x ldiv_circ y."""
-    if not b.circ.is_left_quasigroup:
-        raise StructureError("recovery requires a left nondegenerate braiding")
+    """Recover the left quasigroup x*y = x ldiv_circ y of a left nondegenerate braiding."""
     return CayleyTable._derived(b.circ._ldiv_rows)
 
 
@@ -238,8 +234,6 @@ def induced_bullet(t_circ: CayleyTable, kind: str) -> Braiding:
     matching division-form identity."""
     if kind not in BRAID_KINDS:
         raise ValueError(f"unknown braiding kind {kind!r}")
-    if not t_circ.is_left_quasigroup:
-        raise StructureError("induced bullet requires a left quasigroup")
     return _with_bullet(t_circ, t_circ._ldiv_rows, kind)
 
 

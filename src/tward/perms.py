@@ -12,7 +12,7 @@ from .tables import CayleyTable, _perm_arrays, cycle_type, find_all_isomorphisms
 
 Perm = tuple[int, ...]
 
-DEFAULT_CAP = 10**6
+CLOSURE_CAP = 10**6
 
 
 def identity_perm(n: int) -> Perm:
@@ -73,7 +73,7 @@ class PermGroup:
         return p in self.elements
 
 
-def closure(generators: Iterable[Perm], degree: int, cap: int = DEFAULT_CAP) -> PermGroup:
+def closure(generators: Iterable[Perm], degree: int) -> PermGroup:
     """Group generated by the given permutations, as an explicit element set.
 
     Breadth-first orbit of the identity under right multiplication.
@@ -91,8 +91,8 @@ def closure(generators: Iterable[Perm], degree: int, cap: int = DEFAULT_CAP) -> 
                 p = compose(h, g)
                 if p not in elems:
                     elems.add(p)
-                    if len(elems) > cap:
-                        raise ClosureOverflowError(cap)
+                    if len(elems) > CLOSURE_CAP:
+                        raise ClosureOverflowError(CLOSURE_CAP)
                     new.append(p)
         frontier = new
     return PermGroup(degree, frozenset(elems))
@@ -110,12 +110,10 @@ def multiplication_groups(t: CayleyTable) -> MultiplicationGroups:
     """Left multiplication group and the three displacement groups of a left
     quasigroup.  Dis+ and Dis- use the fixed-base generators L_e L_x^{-1} and
     L_x^{-1} L_e with e = 0."""
-    if not t.is_left_quasigroup:
-        raise StructureError("multiplication groups require a left quasigroup")
-    n, rows = t.n, t.rows
+    n, rows, ld = t.n, t.rows, t._ldiv_rows  # ld first: StructureError before any closure
     lmlt = closure(rows, n)
-    plus_gens = [compose(rows[0], inv) for inv in t._ldiv_rows]
-    minus_gens = [compose(inv, rows[0]) for inv in t._ldiv_rows]
+    plus_gens = [compose(rows[0], inv) for inv in ld]
+    minus_gens = [compose(inv, rows[0]) for inv in ld]
     dis_plus = closure(plus_gens, n)
     dis_minus = closure(minus_gens, n)
     dis = closure(plus_gens + minus_gens, n)

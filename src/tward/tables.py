@@ -124,18 +124,16 @@ class CayleyTable:
                 raise ValueError(f"element {e} out of range 0..{self.n - 1}")
 
     @cached_property
-    def _ldiv_rows(self) -> tuple[Optional[tuple[int, ...]], ...]:
+    def _ldiv_rows(self) -> tuple[tuple[int, ...], ...]:
+        """The rows inverted, x ldiv y = _ldiv_rows[x][y]; StructureError unless a left quasigroup."""
+        _require_lq(self)
         n = len(self.rows)
-        lq = self.is_left_quasigroup
         out = []
         for row in self.rows:
-            if lq or len(set(row)) == n:
-                inv = [0] * n
-                for i, v in enumerate(row):
-                    inv[v] = i
-                out.append(tuple(inv))
-            else:
-                out.append(None)
+            inv = [0] * n
+            for i, v in enumerate(row):
+                inv[v] = i
+            out.append(tuple(inv))
         return tuple(out)
 
     @cached_property
@@ -143,8 +141,9 @@ class CayleyTable:
         """Per x, invariants of row x under relabeling: whether it is a permutation,
         its cycle type or else its sorted value multiplicities, and whether x is idempotent."""
         return tuple(
-            (inv is not None, cycle_type(row) if inv else tuple(sorted(map(row.count, set(row)))), row[x] == x)
-            for x, (row, inv) in enumerate(zip(self.rows, self._ldiv_rows))
+            (perm, cycle_type(row) if perm else tuple(sorted(map(row.count, set(row)))), row[x] == x)
+            for x, row in enumerate(self.rows)
+            for perm in (self.is_left_quasigroup or len(set(row)) == len(row),)
         )
 
     @cached_property
@@ -157,12 +156,9 @@ class CayleyTable:
         return tuple(zip(*self.rows))
 
     def ldiv(self, x: int, y: int) -> int:
-        """The unique z with x*z = y."""
+        """The unique z with x*z = y, in a left quasigroup."""
         self._check_range(x, y)
-        inv = self._ldiv_rows[x]
-        if inv is None:
-            raise StructureError(f"row {x} is not a permutation, no left division")
-        return inv[y]
+        return self._ldiv_rows[x][y]
 
     def rdiv(self, x: int, y: int) -> Optional[int]:
         """Some z with z*y = x, or None when column y does not contain x.
@@ -368,22 +364,24 @@ def squaring_kernel(t: CayleyTable) -> Partition:
 
 
 def is_congruence(t: CayleyTable, p: Partition) -> bool:
-    """True iff the blocks of p are compatible with * and with left division."""
+    """True iff the blocks of p are compatible with * and with left division.
+
+    Only * is checked, as in a finite left quasigroup that implies left
+    division: if y ~ y' then x*y ~ x*y', so L_x maps blocks into blocks and,
+    being onto, permutes the finitely many blocks; if x ~ x' and y ~ y', then
+    x*(x ldiv y) = y ~ y' = x'*(x' ldiv y') ~ x*(x' ldiv y'), so x ldiv y ~
+    x' ldiv y' as the map L_x induces on blocks is injective."""
     _require_lq(t)
     if p.n != t.n:
         raise ValueError("partition size does not match the table")
     bo = p.block_of
-    n = t.n
-    ld = t._ldiv_rows
-    for table in (t.rows, ld):
-        seen: dict[tuple[int, int], int] = {}
-        for x in range(n):
-            bx = bo[x]
-            for y in range(n):
-                key = (bx, bo[y])
-                b = bo[table[x][y]]
-                if seen.setdefault(key, b) != b:
-                    return False
+    seen: dict[tuple[int, int], int] = {}
+    for x, row in enumerate(t.rows):
+        bx = bo[x]
+        for y, v in enumerate(row):
+            b = bo[v]
+            if seen.setdefault((bx, bo[y]), b) != b:
+                return False
     return True
 
 

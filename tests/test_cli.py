@@ -197,7 +197,11 @@ def test_construct_perm_order_zero(capsys):
     assert code == 2 and out.startswith("RESULT: error")
 
 
-@pytest.mark.parametrize("argv", [["check", "--identity", "tw"], ["kernels"]], ids=["check", "kernels"])
+@pytest.mark.parametrize(
+    "argv",
+    [["check", "--identity", "tw"], ["kernels"], ["braiding", "--kind", "idempotent", "--verify"]],
+    ids=["check", "kernels", "braiding"],
+)
 def test_table_that_is_not_a_left_quasigroup(capsys, tmp_path, argv):
     path = tmp_path / "not-lq.tbl"
     path.write_text(CayleyTable.from_rows([[0, 1, 2], [1, 2, 0], [0, 0, 1]]).to_text())

@@ -165,6 +165,9 @@ def test_ldiv_requires_permutation_row():
     t = CayleyTable.from_rows([[0, 0], [0, 1]])
     with pytest.raises(StructureError):
         t.ldiv(0, 1)
+    # row 1 is a permutation, but only a left quasigroup has left division
+    with pytest.raises(StructureError, match="not a left quasigroup"):
+        t.ldiv(1, 0)
 
 
 def test_structure_flags(table4, cyclic3):
@@ -606,6 +609,18 @@ def test_iso_agrees_with_canonical_form_on_catalog_tables_of_order_8():
             if sorted(t1._row_profiles) == sorted(t2._row_profiles) and c1 != c2:
                 same_profiles.append((t1, t2))
     assert same_profiles
+
+
+def test_isomorphism_search_reads_no_division_rows():
+    """The row profiles of a left quasigroup come from its rows: neither
+    table_isomorphic nor automorphism_group inverts a row."""
+    for n in (6, 8):
+        for s in twq_catalog_specs(n):
+            a = build_twq(s)
+            b = a.relabel(list(range(n))[::-1])
+            assert table_isomorphic(a, b)
+            assert automorphism_group(a).order >= 1
+            assert "_ldiv_rows" not in vars(a) and "_ldiv_rows" not in vars(b)
 
 
 @pytest.mark.parametrize("n", [8, 9])
