@@ -9,8 +9,12 @@ swapped, where it fails after row 0, in one of the last two rows.  Only the
 public checkers are timed: the halves of the ``is_braiding`` dual oracle
 change their contracts between checkouts.  At n = 4, 5 and 12 it times
 ``to_braiding`` and ``induced_bullet`` for each braiding kind, and the
-validating ``CayleyTable`` build of their input.  In the catalog layer it times
-``canonical_form`` on the catalog tables of orders 8 and 9,
+validating ``CayleyTable`` build of their input.  In the construction layer
+it times ``CayleyTable.from_rows`` on list rows at n = 4, 9 and 12,
+``build_block`` on one accepting and one rejecting family of order 12 (3
+blocks of 4), whose verdict and accepted rows are digested but not the
+rejection witness, and ``cayley_kernel`` of the accepted table.  In the
+catalog layer it times ``canonical_form`` on the catalog tables of orders 8 and 9,
 ``twq_spec_isomorphic`` and ``table_isomorphic`` over all ordered pairs of
 catalog specs and of their tables of orders 8 and 9, with the number of
 pairs whose psi differ in cycle type and of pairs whose tables differ in
@@ -38,8 +42,8 @@ includes that table's build (the ``CayleyTable`` row, to subtract) and its
 division rows.  Criterion 06 runs in a subprocess per checkout, alternating,
 five times each.  The verdicts, the number of triples read before the
 verdict and whether each built braiding solves the Yang-Baxter equation are
-recorded too, and a digest of the catalog rows' outputs; the script stops
-if they differ between the checkouts.
+recorded too, and a digest of the construction and catalog rows' outputs;
+the script stops if they differ between the checkouts.
 """
 import argparse
 import hashlib
@@ -179,7 +183,7 @@ def cases(tw):
                     holds=tw.is_braiding(build(tw.CayleyTable(built), kind)), triples_to_verdict=None,
                     call=lambda build=build, kind=kind, built=built: build(tw.CayleyTable(built), kind),
                 ))
-    return rows + catalog_cases(tw)
+    return rows + construction_cases(tw) + catalog_cases(tw)
 
 
 def digest(value):
@@ -192,6 +196,46 @@ def perm_arrays_digest(perms, invs):
     rows = np.arange(len(perms))[:, None]
     inverse = bool((perms[rows, invs] == np.arange(perms.shape[1])).all())
     return digest((np.unique(perms, axis=0).tobytes(), inverse))
+
+
+def construction_cases(tw):
+    """Rows of the construction layer: from_rows, build_block accepting and
+    rejecting, and the Cayley kernel of the accepted table."""
+    rows = []
+    for n in (4, 9, 12):
+        built = [list(r) for r in affine(n, 1, 1)]
+        rows.append(dict(
+            function="from_rows", kind="list rows", n=n, case="fresh table", table="affine a=1 c=1",
+            holds=None, triples_to_verdict=None, output=digest(tw.CayleyTable.from_rows(built).rows),
+            call=lambda built=built: tw.CayleyTable.from_rows(built),
+        ))
+    # affine(3) x (y + 1 mod 4): the Cayley kernel has 3 blocks of 4
+    t = tw.direct_product(tw.CayleyTable(affine(3, 1, 1)), tw.CayleyTable(permutational(4)))
+    accepting = tw.decompose_block(t)
+    maps = list(accepting.maps)
+    maps[2] = maps[2][4:] + maps[2][:4]  # the last block's map moved one block along
+    rejecting = tw.BlockFamily(accepting.x_size, accepting.a_size, tuple(maps))
+
+    def block(fam):
+        try:
+            return tw.build_block(fam).rows
+        except tw.construct.BlockRejectionError:
+            return None
+
+    for case, fam in (("accepts", accepting), ("rejects", rejecting)):
+        built = block(fam)
+        rows.append(dict(
+            function="build_block", kind="3 blocks of 4", n=12, case=case, table="affine(3) x (y+1 mod 4)",
+            holds=built is not None, triples_to_verdict=None, output=digest(built),
+            call=lambda fam=fam: block(fam),
+        ))
+    accepted = tw.build_block(accepting)
+    rows.append(dict(
+        function="cayley_kernel", kind="3 blocks of 4", n=12, case="built table", table="build_block",
+        holds=None, triples_to_verdict=None, output=digest(tw.cayley_kernel(accepted).blocks),
+        call=lambda: tw.cayley_kernel(accepted),
+    ))
+    return rows
 
 
 def relabeled_catalog_tables(tw):

@@ -5,10 +5,12 @@ Runs pytest in this process, with its arguments passed through unchanged,
 under a line tracer on every thread (``sys.settrace`` and
 ``threading.settrace``) that records only the files of ``src/tward``.  Then
 prints ``path:line`` for every line of a function or class body (the lines
-of the modules' nested code objects, read with ``co_lines``) that never ran,
-and exits with pytest's exit code.  Module-level lines are not listed, as
-they all run on import.  Code run in a worker process is not traced, so a
-line that only such a worker runs is listed.
+of the modules' nested code objects, read with ``co_lines``) that never ran.
+It exits with pytest's exit code when that is not 0, else with 1 if it
+listed a line and 0 if not, so that "no unrun line" is its exit status
+alone.  Module-level lines are not listed, as they all run on import.  Code
+run in a worker process is not traced, so a line that only such a worker
+runs is listed.
 
     python3 scripts/unrun_lines.py -q tests
 """
@@ -65,10 +67,14 @@ def main(args: list[str]) -> int:
     finally:
         sys.settrace(None)
         threading.settrace(None)
-    for path in sorted(PKG.glob("*.py")):
-        for line in sorted(body_lines(path) - ran.get(str(path), set())):
-            print(f"{path.relative_to(ROOT)}:{line}")
-    return int(code)
+    unrun = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for path in sorted(PKG.glob("*.py"))
+        for line in sorted(body_lines(path) - ran.get(str(path), set()))
+    ]
+    for line in unrun:
+        print(line)
+    return int(code) or int(bool(unrun))
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@ presentation-level isomorphism."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import AlgebraError, ConsistencyError, IdentityViolationError
 from .groups import FiniteGroup, as_group, is_group
@@ -26,8 +26,9 @@ from .tables import (
 
 
 class BlockRejectionError(AlgebraError):
-    """The block family does not define a twisted Ward left quasigroup;
-    carries a dependence witness (x1, x2, y, b)."""
+    """The block family does not define a twisted Ward left quasigroup; the
+    witness (x1, x2, y, b) names blocks x1 != x2 whose composites
+    f_{f_x^[1](y,b)} o f_x differ at the point y*a_size + b."""
 
     def __init__(self, witness: tuple[int, int, int, int]):
         super().__init__(f"composite translation depends on x: witness {witness}")
@@ -160,21 +161,16 @@ class BlockFamily:
 
 
 def build_block(fam: BlockFamily) -> CayleyTable:
-    """Table (x,a)*(y,b) = f_x(y,b), accepted iff f_{f_x^[1](y,b)} o f_x is
-    independent of x; rejection carries a witness."""
+    """Table (x,a)*(y,b) = f_x(y,b), accepted iff it is twisted Ward: its rows
+    are constant on blocks, so the identity says f_{f_x^[1](y,b)} o f_x does
+    not depend on x, and a failing triple (x, y, z) names the blocks of y and x."""
     d = fam.a_size
-    m = fam.x_size * d
-    for flat in range(m):
-        composite: Optional[Perm] = None
-        first_x: Optional[int] = None
-        for x in range(fam.x_size):
-            comp = compose(fam.maps[fam.maps[x][flat] // d], fam.maps[x])
-            if composite is None:
-                composite, first_x = comp, x
-            elif comp != composite:
-                raise BlockRejectionError((first_x, x, flat // d, flat % d))
-    rows = [[fam.maps[x // d][flat] for flat in range(m)] for x in range(m)]
-    return CayleyTable.from_rows(rows)
+    table = CayleyTable.from_rows(fam.maps[x // d] for x in range(fam.x_size * d))
+    holds, wit = check_identity(table, "twisted_ward", witness=True)
+    if not holds:
+        x, y, _ = wit
+        raise BlockRejectionError((y // d, x // d, y // d, y % d))
+    return table
 
 
 def decompose_block(t: CayleyTable) -> BlockFamily:

@@ -93,7 +93,7 @@ class CayleyTable:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "CayleyTable":
-        return cls(tuple(tuple(map(_index, row)) for row in rows))
+        return cls(tuple(map(tuple, rows)))
 
     @classmethod
     def _derived(cls, rows: tuple[tuple[int, ...], ...]) -> "CayleyTable":
@@ -328,8 +328,9 @@ class Partition:
         by_label: dict = {}
         for x, lab in enumerate(labels):
             by_label.setdefault(lab, []).append(x)
-        blocks = sorted((tuple(sorted(b)) for b in by_label.values()), key=lambda b: b[0])
-        return cls(tuple(blocks))
+        # x runs upward: each block is sorted, and blocks come in order of their least element;
+        # a list first, as tuple() over-allocates from an iterator and kernels are often kept
+        return cls(tuple([tuple(b) for b in by_label.values()]))
 
     @property
     def n(self) -> int:

@@ -197,12 +197,70 @@ def test_block_round_trip(table4, table6):
         assert check_identity(rebuilt, "twisted_ward")
 
 
+def _composite(fam, x, flat):
+    """f_{f_x^[1](y,b)} o f_x at the flattened point y*a_size + b."""
+    return compose(fam.maps[fam.maps[x][flat] // fam.a_size], fam.maps[x])
+
+
+def _reference_build_block(fam):
+    """The block-family rule read off the maps: the rows of the table when
+    the composite at every point is the same for all x, else None."""
+    d = fam.a_size
+    m = fam.x_size * d
+    for flat in range(m):
+        if any(_composite(fam, x, flat) != _composite(fam, 0, flat) for x in range(fam.x_size)):
+            return None
+    return tuple(fam.maps[x // d] for x in range(m))
+
+
+def assert_genuine_witness(fam, witness):
+    x1, x2, y, b = witness
+    assert x1 != x2
+    flat = y * fam.a_size + b
+    assert _composite(fam, x1, flat) != _composite(fam, x2, flat), (fam, witness)
+
+
+def assert_build_block_matches_reference(fam):
+    rows = _reference_build_block(fam)
+    if rows is None:
+        with pytest.raises(BlockRejectionError) as exc:
+            build_block(fam)
+        assert_genuine_witness(fam, exc.value.witness)
+    else:
+        assert build_block(fam).rows == rows
+
+
+def seeded_block_families():
+    rng = random.Random("block-families")
+    for _ in range(400):
+        x_size, a_size = rng.randint(1, 4), rng.randint(1, 3)
+        m = x_size * a_size
+        pool = [tuple(rng.sample(range(m), m)) for _ in range(rng.choice((1, 2, x_size)))]
+        yield BlockFamily(x_size, a_size, tuple(rng.choice(pool) for _ in range(x_size)))
+
+
 def test_block_rejection():
     # singleton blocks carrying a cyclic-shift table: composites depend on x
     fam = BlockFamily(x_size=3, a_size=1, maps=((0, 1, 2), (1, 2, 0), (2, 0, 1)))
     with pytest.raises(BlockRejectionError) as exc:
         build_block(fam)
-    assert len(exc.value.witness) == 4
+    assert_genuine_witness(fam, exc.value.witness)
+
+
+def test_build_block_matches_composite_loop_on_seeded_families():
+    verdicts = set()
+    for fam in seeded_block_families():
+        assert_build_block_matches_reference(fam)
+        verdicts.add(_reference_build_block(fam) is None)
+    assert verdicts == {True, False}
+
+
+def test_build_block_matches_composite_loop_on_representatives(enum_reports):
+    for n in range(1, 7):
+        for t in enum_reports(n).representatives:
+            fam = decompose_block(t)
+            assert _reference_build_block(fam) is not None
+            assert_build_block_matches_reference(fam)
 
 
 @pytest.mark.parametrize("x_size, a_size, maps", [(0, 1, ()), (1, 0, ((),))])

@@ -95,11 +95,20 @@ def test_non_integer_entries_rejected(rows):
 
 
 def test_from_rows_rejects_what_the_constructor_rejects():
-    for rows in ([[0, 1.5], [1, 0]], [[0, 1.0], [1, 0]], [["0", "1"], ["1", "0"]], [[0, None], [1, 0]]):
+    for rows in (
+        [[0, 1.5], [1, 0]], [[0, 1.0], [1, 0]], [[0, np.float64(1)], [1, 0]], [["0", "1"], ["1", "0"]],
+        [[0, None], [1, 0]], [[0, [1]], [1, 0]], [[0, {1}], [1, 0]],
+        [[0, 2], [1, 0]], [[0, -1], [1, 0]], [[0, np.int64(2)], [1, 0]],
+        [[0, 1], [0]], [[0, 1, 2], [1, 0], [2, 1, 0]], [[0, 1]],
+    ):  # non-integer, unhashable, out-of-range entries and ragged rows: ValueError, no other type
         with pytest.raises(ValueError):
             CayleyTable(tuple(map(tuple, rows)))
         with pytest.raises(ValueError):
+            CayleyTable(rows)
+        with pytest.raises(ValueError):
             CayleyTable.from_rows(rows)
+        with pytest.raises(ValueError):
+            CayleyTable.from_rows(iter(rows))
     with pytest.raises(ValueError):
         CayleyTable(((0, 1), (1, 0))).relabel((1.0, 0.0))
 
@@ -107,11 +116,34 @@ def test_from_rows_rejects_what_the_constructor_rejects():
 def test_numpy_integer_entries_accepted():
     rows = np.array([[1, 0], [1, 0]], dtype=np.int64)
     assert CayleyTable.from_rows(rows) == CayleyTable(((1, 0), (1, 0)))
-    # bools are integers too, and come back as ints
+    # bools are integers too, and from_rows keeps them as bools
     assert CayleyTable.from_rows([[True, False], [True, False]]).rows == ((1, 0), (1, 0))
     assert all(type(v) is int for row in CayleyTable.from_rows(rows).rows for v in row)
     t = CayleyTable(tuple(tuple(r) for r in rows))
     assert t.is_left_quasigroup and check_identity(t, "rack")
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0, 1, 2], [1, 2, 0], [0, 0, 1]],
+        ((1, 0, 2), (0, 2, 1), (2, 1, 0)),
+        np.array([[2, 0, 1], [2, 0, 1], [1, 2, 0]], dtype=np.int64),
+        np.array([[0, 1, 2], [0, 1, 2], [0, 1, 2]], dtype=np.uint8),
+        [[np.int32(0), 1, 2], [1, np.uint16(2), 0], [2, 0, np.int64(1)]],
+        ((True, False), (False, True)),
+        [[0, True], [True, 1]],
+    ],
+    ids=["lists", "tuples", "numpy-int64", "numpy-uint8", "mixed-numpy-and-int", "bools", "bools-and-ints"],
+)
+def test_from_rows_agrees_with_the_constructor(rows):
+    t = CayleyTable(rows)
+    for given in (rows, list(rows), (row for row in rows), [(v for v in row) for row in rows]):
+        u = CayleyTable.from_rows(given)
+        assert u.rows == t.rows and u == t and hash(u) == hash(t)
+        assert u.is_left_quasigroup == t.is_left_quasigroup == all(len(set(r)) == len(r) for r in t.rows)
+        if type(rows) is tuple:  # the constructor keeps tuple rows of ints and bools as given
+            assert [type(v) for r in u.rows for v in r] == [type(v) for r in rows for v in r]
 
 
 @pytest.mark.parametrize(
@@ -302,6 +334,16 @@ def test_partition_basics():
     assert p.block_sizes() == (2, 1, 1)
     with pytest.raises(ValueError):
         Partition(((0, 1), (1, 2)))
+    # against a sort-based reference on seeded labelings
+    rng = random.Random("partition-labels")
+    alphabets = (range(4), "abcd", ((0, "a"), (1, "b"), (0, "b")))
+    for _ in range(300):
+        labels = [rng.choice(alphabets[rng.randrange(3)]) for _ in range(rng.randint(0, 12))]
+        blocks = {}
+        for x, lab in enumerate(labels):
+            blocks.setdefault(lab, set()).add(x)
+        reference = sorted(tuple(sorted(b)) for b in blocks.values())
+        assert Partition.from_assignment(labels).blocks == tuple(reference), labels
 
 
 @pytest.mark.parametrize(
